@@ -7,163 +7,18 @@ for a given alphabet size, constructs explicit witnesses, and counts the
 strata exactly.
 """
 
-from .conjectures import (
-    Conjecture1Report,
-    Conjecture2Report,
-    DescentDistribution,
-    DivisibilityCell,
-    check_conjecture1,
-    check_conjecture2,
-    descent_distribution,
-    phi,
-    phi_inv,
-    t0_elements,
-)
-from .enumeration import (
-    DEFAULT_BOUND,
-    BoundExceededError,
-    OmegaCensus,
-    PatternRow,
-    count_a,
-    count_binary,
-    count_g,
-    count_h,
-    enumerate_by_nmin,
-    extremal_sextet,
-    forbidden,
-    minimal_forbidden,
-    omega_census,
-    oracle_allowed,
-    solve_recurrence,
-)
-from .permutations import (
-    check_permutation,
-    complement,
-    contains_consecutive,
-    cycle_decomposition,
-    descent_count,
-    descent_set,
-    eulerian_row,
-    format_marked,
-    format_permutation,
-    inverse,
-    is_n_cycle,
-    marked_cycles,
-    marked_des,
-    marked_eps,
-    marked_inverse,
-    marked_rc,
-    missing_value,
-    n_cycles,
-    parse_marked,
-    parse_permutation,
-    reduce,
-    reverse,
-    reverse_complement,
-    star_deleted,
-    star_position,
-    theta,
-    theta_inv,
-)
-from .realization import (
-    RequiredChain,
-    WitnessSpec,
-    a_set,
-    base_assignment,
-    delta,
-    n_min,
-    n_min_marked,
-    realize_check,
-    required_chain,
-    witness,
-)
-from .words import (
-    EQ,
-    GT,
-    LT,
-    EventuallyPeriodicWord,
-    compare,
-    is_primitive,
-    mobius,
-    pat,
-    primitive_root,
-    psi,
-    word_complement,
-)
+from . import conjectures, enumeration, permutations, realization, words
+from .conjectures import *  # noqa: F403
+from .enumeration import *  # noqa: F403
+from .permutations import *  # noqa: F403
+from .realization import *  # noqa: F403
+from .words import *  # noqa: F403
 
 __all__ = [
-    "EQ",
-    "GT",
-    "LT",
-    "DEFAULT_BOUND",
-    "BoundExceededError",
-    "Conjecture1Report",
-    "Conjecture2Report",
-    "DescentDistribution",
-    "DivisibilityCell",
-    "EventuallyPeriodicWord",
-    "OmegaCensus",
-    "PatternRow",
-    "RequiredChain",
-    "WitnessSpec",
-    "a_set",
-    "base_assignment",
-    "check_conjecture1",
-    "check_conjecture2",
-    "check_permutation",
-    "compare",
-    "complement",
-    "contains_consecutive",
-    "count_a",
-    "count_binary",
-    "count_g",
-    "count_h",
-    "cycle_decomposition",
-    "delta",
-    "descent_count",
-    "descent_distribution",
-    "descent_set",
-    "enumerate_by_nmin",
-    "eulerian_row",
-    "extremal_sextet",
-    "forbidden",
-    "format_marked",
-    "format_permutation",
-    "inverse",
-    "is_n_cycle",
-    "is_primitive",
-    "marked_cycles",
-    "marked_des",
-    "marked_eps",
-    "marked_inverse",
-    "marked_rc",
-    "minimal_forbidden",
-    "missing_value",
-    "mobius",
-    "n_cycles",
-    "n_min",
-    "n_min_marked",
-    "omega_census",
-    "oracle_allowed",
-    "parse_marked",
-    "parse_permutation",
-    "pat",
-    "phi",
-    "phi_inv",
-    "primitive_root",
-    "psi",
-    "realize_check",
-    "reduce",
-    "required_chain",
-    "reverse",
-    "reverse_complement",
-    "solve_recurrence",
-    "star_deleted",
-    "star_position",
-    "t0_elements",
-    "theta",
-    "theta_inv",
-    "witness",
-    "word_complement",
+    *conjectures.__all__,
+    *enumeration.__all__,
+    *permutations.__all__,
+    *realization.__all__,
+    *words.__all__,
 ]
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .conjectures import check_conjecture1, check_conjecture2
 from .enumeration import (
     BoundExceededError,
     count_a,
+    count_table,
     enumerate_by_nmin,
     extremal_sextet,
     forbidden,
@@ -79,7 +80,7 @@ def _cmd_nmin(args) -> int:
     strict = sorted(a_set(pi)) if len(pi) >= 2 else []
     d, case = delta(pi) if len(pi) >= 2 else (0, None)
     mc = theta(pi)
-    des = marked_des(mc)
+    des = marked_des(mc) if len(pi) >= 2 else 0
     eps = marked_eps(mc) if len(pi) >= 2 else 0
     data = {
         "input": {"perm": list(pi)},
@@ -162,10 +163,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = []
-    for n in range(2, args.n_max + 1):
-        for N in range(2, max(2, n - 1) + 1):
-            rows.append((n, N, count_a(n, N)))
+    rows = list(count_table(args.n_max))
     data = {
         "input": {"n_max": args.n_max},
         "result": [[n, N, a] for n, N, a in rows],
@@ -260,13 +258,19 @@ def _cmd_xcheck(args) -> int:
     return EXIT_OK if all_ok else EXIT_REFUTED
 
 
+def _worker_count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object")
     common.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("SHIFTPAT_THREADS", "1")),
+        type=_worker_count,
+        default=os.environ.get("SHIFTPAT_THREADS", "1"),
         help="worker count for exhaustive sweeps (env SHIFTPAT_THREADS)",
     )
     parser = argparse.ArgumentParser(

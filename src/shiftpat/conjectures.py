@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 
-from .enumeration import BoundExceededError, DEFAULT_BOUND, count_a
+from .enumeration import BoundExceededError, DEFAULT_BOUND, count_table
 from .permutations import descent_set, marked_cycles, theta_inv
 
 __all__ = [
@@ -133,20 +133,18 @@ def check_conjecture2(n_max: int) -> Conjecture2Report:
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     cells = []
-    for n in range(2, n_max + 1):
-        for N in range(2, max(2, n - 1) + 1):
-            value = count_a(n, N)
-            claimed = N >= 3 and n >= 3
-            cells.append(
-                DivisibilityCell(
-                    n=n,
-                    N=N,
-                    value=value,
-                    even=value % 2 == 0,
-                    six_claimed=claimed,
-                    six_ok=value % 6 == 0 if claimed else True,
-                )
+    for n, N, value in count_table(n_max):
+        claimed = N >= 3 and n >= 3
+        cells.append(
+            DivisibilityCell(
+                n=n,
+                N=N,
+                value=value,
+                even=value % 2 == 0,
+                six_claimed=claimed,
+                six_ok=value % 6 == 0 if claimed else True,
             )
+        )
     return Conjecture2Report(
         n_max=n_max,
         cells=cells,

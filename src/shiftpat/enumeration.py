@@ -27,6 +27,8 @@ __all__ = [
     "count_a",
     "count_h",
     "count_g",
+    "count_row",
+    "count_table",
     "solve_recurrence",
     "PatternRow",
     "enumerate_by_nmin",
@@ -53,23 +55,55 @@ def count_binary(n: int) -> int:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return sum(psi(2, t) * 2 ** (n - t - 1) for t in range(1, n))
+    return _primitive_sum(n, 2)
 
 
-def _a_term(n: int, M: int) -> int:
-    return (M - 2) * M ** (n - 2) + sum(psi(M, t) * M ** (n - t - 1) for t in range(1, n))
+def _primitive_sum(n: int, M: int) -> int:
+    """sum over 1 <= t < n of psi_M(t) M^(n-t-1), by Horner's rule."""
+    out = 0
+    for t in range(1, n):
+        out = out * M + psi(M, t)
+    return out
 
 
-def _g_term(n: int, M: int) -> int:
-    return sum(psi(M, t) * M ** (n - t - 1) for t in range(1, n)) - M ** (n - 2)
+# b_M of the closed forms, for a(n, .), g(n, .) and h(n, .)
+_TERMS = {
+    "a": lambda n, M: (M - 2) * M ** (n - 2) + _primitive_sum(n, M),
+    "g": lambda n, M: _primitive_sum(n, M) - M ** (n - 2),
+    "h": lambda n, M: (M - 1) * M ** (n - 2),
+}
 
 
-def _h_term(n: int, M: int) -> int:
-    return (M - 1) * M ** (n - 2)
+def _alternate(n: int, b) -> tuple:
+    """r_N = sum_i (-1)^i C(n, i) b_{N-i} for every N of b, indexed from N = 2."""
+    signed = [(-1) ** i * comb(n, i) for i in range(len(b))]
+    return tuple(sum(c * b[k - i] for i, c in enumerate(signed[: k + 1])) for k in range(len(b)))
 
 
-def _alternating(n: int, N: int, term) -> int:
-    return sum((-1) ** i * comb(n, i) * term(n, N - i) for i in range(N - 1))
+def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed") -> tuple:
+    """(r(n, 2), ..., r(n, N_max)) for r = count_a, count_g or count_h.
+
+    Builds the series b_2 .. b_{N_max} once, then solves for the whole row
+    by the alternating binomial sum (closed) or by unrolling the recurrence.
+
+    >>> count_row(6, 5)
+    (126, 402, 186, 6)
+    """
+    if n < 2 or N_max < 2:
+        raise ValueError("need n, N >= 2")
+    if kind not in _TERMS:
+        raise ValueError(f"unknown kind: {kind!r}")
+    if method not in ("closed", "recurrence"):
+        raise ValueError(f"unknown method: {method!r}")
+    b = [_TERMS[kind](n, M) for M in range(2, N_max + 1)]
+    return _alternate(n, b) if method == "closed" else solve_recurrence(n, b)[0]
+
+
+def count_table(n_max: int):
+    """Yield (n, N, a(n, N)) for 2 <= n <= n_max and 2 <= N <= max(2, n-1), a row at a time."""
+    for n in range(2, n_max + 1):
+        for N, value in enumerate(count_row(n, max(2, n - 1)), start=2):
+            yield n, N, value
 
 
 def count_a(n: int, N: int, method: str = "closed", workers: int = 1) -> int:
@@ -81,8 +115,6 @@ def count_a(n: int, N: int, method: str = "closed", workers: int = 1) -> int:
     """
     if n < 2 or N < 2:
         raise ValueError("need n, N >= 2")
-    if method == "closed":
-        return _alternating(n, N, _a_term)
     if method == "recurrence":
         return count_g(n, N, "recurrence") + count_h(n, N, "recurrence")
     if method == "brute":
@@ -90,7 +122,7 @@ def count_a(n: int, N: int, method: str = "closed", workers: int = 1) -> int:
     if method == "oracle":
         below = oracle_allowed(n, N - 1, workers=workers) if N > 2 else frozenset()
         return len(oracle_allowed(n, N, workers=workers)) - len(below)
-    raise ValueError(f"unknown method: {method!r}")
+    return count_row(n, N, "a", method)[-1]
 
 
 def count_h(n: int, N: int, method: str = "closed") -> int:
@@ -99,26 +131,12 @@ def count_h(n: int, N: int, method: str = "closed") -> int:
     >>> count_h(4, 2)
     4
     """
-    if n < 2 or N < 2:
-        raise ValueError("need n, N >= 2")
-    if method == "closed":
-        return _alternating(n, N, _h_term)
-    if method == "recurrence":
-        series = [_h_term(n, M) for M in range(2, N + 1)]
-        return solve_recurrence(n, series)[0][-1]
-    raise ValueError(f"unknown method: {method!r}")
+    return count_row(n, N, "h", method)[-1]
 
 
 def count_g(n: int, N: int, method: str = "closed") -> int:
     """Patterns counted by a(n, N) that do not end with their maximum."""
-    if n < 2 or N < 2:
-        raise ValueError("need n, N >= 2")
-    if method == "closed":
-        return _alternating(n, N, _g_term)
-    if method == "recurrence":
-        series = [_g_term(n, M) for M in range(2, N + 1)]
-        return solve_recurrence(n, series)[0][-1]
-    raise ValueError(f"unknown method: {method!r}")
+    return count_row(n, N, "g", method)[-1]
 
 
 def solve_recurrence(n: int, b):
@@ -135,11 +153,7 @@ def solve_recurrence(n: int, b):
         for j in range(1, idx + 1):
             acc -= comb(n + j - 1, j) * unrolled[idx - j]
         unrolled.append(acc)
-    closed = tuple(
-        sum((-1) ** i * comb(n, i) * b[idx - i] for i in range(idx + 1))
-        for idx in range(len(b))
-    )
-    return tuple(unrolled), closed
+    return tuple(unrolled), _alternate(n, b)
 
 
 @dataclass
@@ -353,14 +367,14 @@ def omega_census(n: int, N: int) -> OmegaCensus:
         buckets[j] += 1
         if pattern[-1] == 1:
             theta_buckets[j] += 1
-    total_predicted = sum(psi(N, t) * N ** (n - t - 1) for t in range(1, n))
-    buckets_predicted = {j: comb(n + j - 1, j) * count_g(n, N - j) for j in range(N - 1)}
-    theta_buckets_predicted = {j: comb(n + j - 1, j) * count_h(n, N - j) for j in range(N - 1)}
+    g_row, h_row = count_row(n, N, "g"), count_row(n, N, "h")
+    buckets_predicted = {j: comb(n + j - 1, j) * g_row[N - 2 - j] for j in range(N - 1)}
+    theta_buckets_predicted = {j: comb(n + j - 1, j) * h_row[N - 2 - j] for j in range(N - 1)}
     census = OmegaCensus(
         n=n,
         N=N,
         total=len(words),
-        total_predicted=total_predicted,
+        total_predicted=_primitive_sum(n, N),
         undefined=undefined,
         undefined_predicted=N ** (n - 2),
         buckets=buckets,

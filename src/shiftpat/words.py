@@ -9,6 +9,7 @@ as well.
 from __future__ import annotations
 
 import re
+from functools import cache
 from math import lcm
 
 LT, EQ, GT = -1, 0, 1
@@ -86,14 +87,21 @@ def _divisors(k: int) -> list[int]:
     return small + large
 
 
+@cache
+def _psi_terms(t: int) -> tuple:
+    """(mobius(d), t/d) for each divisor d of t with mobius(d) != 0."""
+    return tuple((mu, t // d) for d in _divisors(t) if (mu := mobius(d)))
+
+
 def psi(N: int, t: int) -> int:
     """Number of primitive words of length t over N letters.
 
-    psi_N(t) = sum over d | t of mobius(d) * N^(t/d).
+    psi_N(t) = sum over d | t of mobius(d) * N^(t/d); the divisors and
+    their Moebius values are factored once per t.
     """
     if N < 0 or t < 1:
         raise ValueError("need N >= 0 and t >= 1")
-    return sum(mobius(d) * N ** (t // d) for d in _divisors(t))
+    return sum(mu * N**e for mu, e in _psi_terms(t))
 
 
 class EventuallyPeriodicWord:

@@ -2,6 +2,7 @@
 
 import json
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,18 @@ from shiftpat.conjectures import (
 from shiftpat.permutations import format_permutation
 from shiftpat.realization import witness
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_usage_error(err):
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
 
 
 class TestNmin:
@@ -55,6 +63,12 @@ class TestNmin:
         _, out_digits, _ = run_cli(capsys, "nmin", "436152")
         _, out_spaced, _ = run_cli(capsys, "nmin", "4 3 6 1 5 2")
         assert out_digits == out_spaced
+
+    def test_length_one(self, capsys):
+        code, out, err = run_cli(capsys, "nmin", "1")
+        assert code == EXIT_OK
+        assert err == ""
+        assert out == "N=1\nA={}\nDelta=0 case=none\ntheta=*\ndes=0 eps=0\n"
 
     def test_malformed_permutation(self, capsys):
         code, out, err = run_cli(capsys, "nmin", "4 4 1")
@@ -193,6 +207,14 @@ class TestTable:
         ]
 
 
+    @pytest.mark.parametrize("flags,suffix", [((), ".txt"), (("--json",), ".json")])
+    @pytest.mark.parametrize("command", ["table", "conjecture2"])
+    def test_golden_twelve(self, capsys, command, flags, suffix):
+        code, out, _ = run_cli(capsys, command, *flags, "12")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / f"{command}_12{suffix}").read_text()
+
+
 class TestSextet:
     def test_four(self, capsys):
         code, out, _ = run_cli(capsys, "sextet", "4")
@@ -292,3 +314,22 @@ class TestParsing:
         monkeypatch.setenv("SHIFTPAT_THREADS", "3")
         args = cli.build_parser().parse_args(["allowed", "3", "2"])
         assert args.threads == 3
+
+    def test_threads_env_not_a_number(self, capsys, monkeypatch):
+        monkeypatch.setenv("SHIFTPAT_THREADS", "abc")
+        code, out, err = run_cli(capsys, "table", "4")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_usage_error(err)
+
+    def test_negative_threads(self, capsys):
+        code, out, err = run_cli(capsys, "table", "4", "--threads", "-3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_usage_error(err)
+
+    def test_explicit_threads_override_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("SHIFTPAT_THREADS", "abc")
+        code, out, _ = run_cli(capsys, "table", "3", "--threads", "1")
+        assert code == EXIT_OK
+        assert out == "n\tN\ta_nN\n2\t2\t2\n3\t2\t6\n"

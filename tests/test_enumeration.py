@@ -14,6 +14,8 @@ from shiftpat import (
     count_binary,
     count_g,
     count_h,
+    count_row,
+    count_table,
     enumerate_by_nmin,
     extremal_sextet,
     forbidden,
@@ -96,6 +98,25 @@ class TestClosedForms:
             for N in range(2, 8):
                 assert count_a(n, N) == count_a(n, N, method="recurrence"), (n, N)
 
+    def test_table_matches_every_cell(self):
+        cells = list(count_table(30))
+        assert [(n, N) for n, N, _ in cells] == [
+            (n, N) for n in range(2, 31) for N in range(2, max(2, n - 1) + 1)
+        ]
+        for n, N, value in cells:
+            assert value == count_a(n, N) == count_a(n, N, method="recurrence"), (n, N)
+
+    def test_table_below_two_is_empty(self):
+        assert list(count_table(1)) == []
+
+    def test_row_is_the_closed_form_per_cell(self):
+        assert count_row(6, 5) == (126, 402, 186, 6)
+        assert count_row(5, 7, "h") == tuple(count_h(5, N) for N in range(2, 8))
+
+    def test_row_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            count_row(5, 3, "x")
+
 
 class TestHG:
     def test_h_worked(self):
@@ -112,6 +133,11 @@ class TestHG:
         for n in range(2, 9):
             for N in range(2, 8):
                 assert count_g(n, N) + count_h(n, N) == count_a(n, N)
+
+    def test_g_row_plus_h_row(self):
+        for n in range(2, 25):
+            g, h, a = (count_row(n, n + 1, kind) for kind in "gha")
+            assert tuple(x + y for x, y in zip(g, h)) == a, n
 
     def test_closed_equals_recurrence(self):
         for n in range(2, 8):

@@ -211,6 +211,12 @@ class TestPrimitivity:
                 brute = sum(1 for p in product(range(N), repeat=t) if is_primitive(p))
                 assert psi(N, t) == brute
 
+    def test_psi_equals_direct_mobius_sum(self):
+        for N in range(0, 7):
+            for t in range(1, 41):
+                direct = sum(mobius(d) * N ** (t // d) for d in range(1, t + 1) if t % d == 0)
+                assert psi(N, t) == direct, (N, t)
+
     def test_psi_divisor_sum_recovers_all_words(self):
         # every word is a power of a unique primitive root
         for N in range(1, 5):
