@@ -108,9 +108,8 @@ def _cmd_nmin(args) -> int:
 def _cmd_witness(args) -> int:
     pi = _perm(args.perm)
     spec = witness(pi, variant=args.variant, m=args.m)
-    N = n_min(pi)
     symbols = set(spec.word.pre) | set(spec.word.per)
-    good = realize_check(pi, spec.word) and len(symbols) == N
+    good = realize_check(pi, spec.word) and len(symbols) == spec.word.alphabet_size
     data = {
         "input": {"perm": list(pi), "variant": args.variant, "m": args.m},
         "result": spec.word.to_string(),

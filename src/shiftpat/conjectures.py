@@ -130,8 +130,6 @@ def check_conjecture2(n_max: int) -> Conjecture2Report:
     Divisibility by 6 is asserted only for n, N >= 3, which within the
     nonzero range means 3 <= N <= n-1. Evenness is asserted throughout.
     """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
     cells = []
     for n, N, value in count_table(n_max):
         claimed = N >= 3 and n >= 3

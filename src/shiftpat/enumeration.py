@@ -17,8 +17,8 @@ from itertools import permutations as _all_permutations, product
 from math import comb
 
 from .permutations import marked_inverse, marked_rc, reduce, theta_inv
-from .realization import n_min
-from .words import is_primitive, psi
+from .realization import _n_min, n_min
+from .words import _rank_distinct, is_primitive, psi
 
 __all__ = [
     "BoundExceededError",
@@ -100,10 +100,11 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed") -> tu
 
 
 def count_table(n_max: int):
-    """Yield (n, N, a(n, N)) for 2 <= n <= n_max and 2 <= N <= max(2, n-1), a row at a time."""
-    for n in range(2, n_max + 1):
-        for N, value in enumerate(count_row(n, max(2, n - 1)), start=2):
-            yield n, N, value
+    """Iterator of (n, N, a(n, N)) for 2 <= n <= n_max and 2 <= N <= max(2, n-1), a row at a time."""
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    rows = ((n, count_row(n, max(2, n - 1))) for n in range(2, n_max + 1))
+    return ((n, N, value) for n, row in rows for N, value in enumerate(row, start=2))
 
 
 def count_a(n: int, N: int, method: str = "closed", workers: int = 1) -> int:
@@ -175,7 +176,7 @@ def _nmin_slice(args):
     rest = [v for v in range(1, n + 1) if v != first]
     for tail in _all_permutations(rest):
         pi = (first,) + tail
-        N = n_min(pi)
+        N = _n_min(pi)
         counts[N] += 1
         if keep:
             members.setdefault(N, []).append(pi)
@@ -222,16 +223,7 @@ def _constant_tail_pattern(prefix: bytes, tail: int, n: int):
     """
     L = len(prefix)
     ext = prefix + bytes([tail]) * (n - 1)
-    keys = [ext[i : i + L] for i in range(n)]
-    order = sorted(range(n), key=keys.__getitem__)
-    ranks = [0] * n
-    prev = None
-    for r, idx in enumerate(order):
-        if keys[idx] == prev:
-            return None
-        prev = keys[idx]
-        ranks[idx] = r + 1
-    return tuple(ranks)
+    return _rank_distinct([ext[i : i + L] for i in range(n)])
 
 
 def _oracle_slice(args):

@@ -36,6 +36,14 @@ def _positions(pi) -> list:
     return inv
 
 
+def _checked(pi):
+    """Check pi once for a public entry point; the (pi, inv) it returns feed the _kernels."""
+    pi = check_permutation(pi)
+    if len(pi) < 2:
+        raise ValueError("need length >= 2")
+    return pi, _positions(pi)
+
+
 def a_set(pi) -> frozenset:
     """Values a whose forced inequality w at a < w at a+1 is strict.
 
@@ -45,11 +53,11 @@ def a_set(pi) -> frozenset:
     >>> sorted(a_set((4, 3, 6, 1, 5, 2)))
     [3, 4, 5]
     """
-    pi = check_permutation(pi)
+    return _a_set(*_checked(pi))
+
+
+def _a_set(pi, inv) -> frozenset:
     n = len(pi)
-    if n < 2:
-        raise ValueError("need length >= 2")
-    inv = _positions(pi)
     out = set()
     for a in range(1, n):
         i, j = inv[a], inv[a + 1]
@@ -65,12 +73,12 @@ def delta(pi):
     Case I: pi(n) is interior and the entries after pi(n)-1 and pi(n)+1
     are out of order. Case II: pi ends 2, 1. Case III: pi ends n-1, n.
     """
-    pi = check_permutation(pi)
+    return _delta(*_checked(pi))
+
+
+def _delta(pi, inv):
     n = len(pi)
-    if n < 2:
-        raise ValueError("need length >= 2")
     b = pi[-1]
-    inv = _positions(pi)
     if 1 < b < n:
         # i, j < n automatically: the values b-1, b+1 differ from b = pi(n)
         i, j = inv[b - 1], inv[b + 1]
@@ -94,10 +102,13 @@ def n_min(pi) -> int:
     3
     """
     pi = check_permutation(pi)
-    if len(pi) == 1:
-        return 1
-    d, _ = delta(pi)
-    return 1 + len(a_set(pi)) + d
+    return _n_min(pi) if len(pi) > 1 else 1
+
+
+def _n_min(pi) -> int:
+    """n_min of a permutation tuple of length >= 2 that is trusted to be valid."""
+    inv = _positions(pi)
+    return 1 + len(_a_set(pi, inv)) + _delta(pi, inv)[0]
 
 
 def n_min_marked(pi) -> int:
@@ -130,16 +141,17 @@ class RequiredChain:
 
 
 def required_chain(pi) -> RequiredChain:
-    pi = check_permutation(pi)
+    pi, inv = _checked(pi)
+    return _required_chain(pi, inv, _a_set(pi, inv), _delta(pi, inv)[1])
+
+
+def _required_chain(pi, inv, strict_values, case) -> RequiredChain:
+    """The chain of pi given A(pi) and the case tag of Delta."""
     n = len(pi)
-    if n < 2:
-        raise ValueError("need length >= 2")
     b = pi[-1]
-    inv = _positions(pi)
     order = tuple(inv[v] for v in range(1, n + 1) if v != b)
     # value v sits at chain slot v (below b) or v-1 (above b)
-    strict = {a if a < b else a - 1 for a in a_set(pi)}
-    d, case = delta(pi)
+    strict = {a if a < b else a - 1 for a in strict_values}
     if case == "I":
         strict.add(b - 1)
     if b == 1:
@@ -160,16 +172,17 @@ def base_assignment(pi) -> tuple:
     >>> base_assignment((4, 3, 6, 1, 5, 2))
     (1, 0, 3, 0, 2)
     """
-    pi = check_permutation(pi)
-    n = len(pi)
-    chain = required_chain(pi)
-    value = 1 if pi[-1] == 1 and pi[-2] == 2 else 0
-    w = [0] * (n + 1)
+    return _base_assignment(required_chain(pi))
+
+
+def _base_assignment(chain: RequiredChain) -> tuple:
+    value = 1 if chain.delta_case == "II" else 0
+    w = [0] * (len(chain.order) + 2)
     for idx, pos in enumerate(chain.order, start=1):
         if idx > 1 and (idx - 1) in chain.strict_after:
             value += 1
         w[pos] = value
-    return tuple(w[1:n])
+    return tuple(w[1:-1])
 
 
 @dataclass(frozen=True)
@@ -192,14 +205,13 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     variant requested, A is chosen when pi(n-1) > pi(n), else B. The
     repetition count m defaults to n-1 and must keep (m-1)(n-k) >= n-2.
     """
-    pi = check_permutation(pi)
+    pi, inv = _checked(pi)
     n = len(pi)
-    if n < 2:
-        raise ValueError("need length >= 2")
     b = pi[-1]
-    N = n_min(pi)
-    base = base_assignment(pi)
-    inv = _positions(pi)
+    strict_values = _a_set(pi, inv)
+    d, case = _delta(pi, inv)
+    N = 1 + len(strict_values) + d
+    base = _base_assignment(_required_chain(pi, inv, strict_values, case))
     if variant is None:
         variant = "A" if pi[-2] > b else "B"
     variant = str(variant).upper()
@@ -230,7 +242,6 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
             raise ValueError("variant D needs pi(n) = n")
         prefix, tail = base, N - 1
     elif variant in ("E", "F"):
-        _, case = delta(pi)
         if not 1 < b < n or case != "I":
             raise ValueError("variants E and F need an interior pi(n) with a strict neighbor gap")
         c = base[inv[b - 1] - 1]

@@ -131,7 +131,7 @@ class EventuallyPeriodicWord:
         symbols = pre + per
         if alphabet_size is None:
             alphabet_size = max(symbols) + 1
-        if any(s < 0 or s >= alphabet_size for s in symbols):
+        if min(symbols) < 0 or max(symbols) >= alphabet_size:
             raise ValueError(f"symbols must lie in 0..{alphabet_size - 1}")
         self.pre = pre
         self.per = per
@@ -175,9 +175,9 @@ class EventuallyPeriodicWord:
 
     @staticmethod
     def _part_to_string(part) -> str:
-        if all(s <= 9 for s in part):
-            return "".join(str(s) for s in part)
-        return "[" + ",".join(str(s) for s in part) + "]"
+        if max(part, default=0) <= 9:
+            return "".join(map(str, part))
+        return "[" + ",".join(map(str, part)) + "]"
 
     def to_string(self) -> str:
         """Literal form PRE(PER), e.g. 10302(0); bracketed lists past digit range."""
@@ -205,8 +205,8 @@ def _parse_symbols(token: str) -> tuple:
         inner = token[1:-1].strip()
         if not inner:
             return ()
-        return tuple(int(s) for s in inner.split(","))
-    return tuple(int(c) for c in token)
+        return tuple(map(int, inner.split(",")))
+    return tuple(map(int, token))
 
 
 def compare(w1: EventuallyPeriodicWord, w2: EventuallyPeriodicWord) -> int:
@@ -229,31 +229,29 @@ def pat(w: EventuallyPeriodicWord, n: int):
     """Rank pattern of the first n suffixes of w, or None if two coincide.
 
     Entry i is the lexicographic rank of suffix(w, i) among the first n
-    suffixes (1 = smallest). Every suffix keeps the period length of w,
-    so unrolling each one to 2*max(preperiod) + lcm(periods) symbols
-    decides all pairwise comparisons exactly.
+    suffixes (1 = smallest). Since w is canonical, every suffix has a
+    preperiod of at most |pre| symbols and the period length |per|, so
+    the first 2*|pre| + |per| symbols of two suffixes decide their order
+    exactly; each such key is a window of one unrolled prefix of w.
     """
     if n < 1:
         raise ValueError("pattern length must be >= 1")
-    sufs = [w.suffix(i) for i in range(1, n + 1)]
-    width = 2 * max(len(s.pre) for s in sufs) + _lcm_all(len(s.per) for s in sufs)
-    keys = [s.unroll(width) for s in sufs]
-    order = sorted(range(n), key=keys.__getitem__)
-    ranks = [0] * n
+    width = 2 * len(w.pre) + len(w.per)
+    full = w.unroll(n - 1 + width)
+    return _rank_distinct([full[i : i + width] for i in range(n)])
+
+
+def _rank_distinct(keys):
+    """Rank of each key among all keys (1 = smallest), or None on a tie."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(keys)
     prev = None
-    for r, idx in enumerate(order):
+    for r, idx in enumerate(order, start=1):
         if keys[idx] == prev:
             return None
         prev = keys[idx]
-        ranks[idx] = r + 1
+        ranks[idx] = r
     return tuple(ranks)
-
-
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = lcm(out, v)
-    return out
 
 
 def word_complement(w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:

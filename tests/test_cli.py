@@ -207,6 +207,14 @@ class TestTable:
         ]
 
 
+    @pytest.mark.parametrize("n_max", ["1", "-5"])
+    @pytest.mark.parametrize("command", ["table", "conjecture2"])
+    def test_rejects_n_max_below_two(self, capsys, command, n_max):
+        code, out, err = run_cli(capsys, command, n_max)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: need n_max >= 2\n"
+
     @pytest.mark.parametrize("flags,suffix", [((), ".txt"), (("--json",), ".json")])
     @pytest.mark.parametrize("command", ["table", "conjecture2"])
     def test_golden_twelve(self, capsys, command, flags, suffix):

@@ -106,8 +106,10 @@ class TestClosedForms:
         for n, N, value in cells:
             assert value == count_a(n, N) == count_a(n, N, method="recurrence"), (n, N)
 
-    def test_table_below_two_is_empty(self):
-        assert list(count_table(1)) == []
+    def test_table_below_two_rejected(self):
+        for n_max in (1, -5):
+            with pytest.raises(ValueError, match="need n_max >= 2"):
+                count_table(n_max)
 
     def test_row_is_the_closed_form_per_cell(self):
         assert count_row(6, 5) == (126, 402, 186, 6)

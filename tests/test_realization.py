@@ -44,6 +44,17 @@ def applicable_variants(pi):
     return out
 
 
+@pytest.mark.parametrize("bad", [(), (1, 1), (0, 1), (2, 3)])
+@pytest.mark.parametrize(
+    "entry",
+    [a_set, delta, n_min, n_min_marked, required_chain, base_assignment, witness],
+    ids=lambda f: f.__name__,
+)
+def test_entry_points_reject_non_permutations(entry, bad):
+    with pytest.raises(ValueError, match="not a permutation"):
+        entry(bad)
+
+
 class TestASetAndDelta:
     def test_worked_a_sets(self):
         assert a_set((4, 3, 6, 1, 5, 2)) == frozenset({3, 4, 5})
@@ -222,7 +233,7 @@ class TestWitness:
             witness((4, 3, 6, 1, 5, 2), variant="E")
 
     def test_soundness_all_variants_small(self):
-        for n in range(2, 6):
+        for n in range(2, 7):
             for pi in s_n(n):
                 N = n_min(pi)
                 for v in applicable_variants(pi):

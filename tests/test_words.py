@@ -1,10 +1,11 @@
 """Eventually periodic words: normal form, order, Pat, primitivity counts."""
 
 import math
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shiftpat import (
     EQ,
@@ -24,15 +25,13 @@ from shiftpat import (
 W = EventuallyPeriodicWord.from_string
 
 
-def symbols():
-    return st.integers(min_value=0, max_value=3)
-
-
-def words():
-    return st.builds(
-        lambda pre, per: EventuallyPeriodicWord(tuple(pre), tuple(per), 4),
-        st.lists(symbols(), max_size=6),
-        st.lists(symbols(), min_size=1, max_size=4),
+def words(max_pre=6, max_per=4, alphabet=st.just(4)):
+    return alphabet.flatmap(
+        lambda N: st.builds(
+            lambda pre, per: EventuallyPeriodicWord(tuple(pre), tuple(per), N),
+            st.lists(st.integers(0, N - 1), max_size=max_pre),
+            st.lists(st.integers(0, N - 1), min_size=1, max_size=max_per),
+        )
     )
 
 
@@ -62,8 +61,15 @@ class TestNormalForm:
     def test_symbol_out_of_alphabet_rejected(self):
         with pytest.raises(ValueError):
             EventuallyPeriodicWord((0, 5), (1,), alphabet_size=2)
+        with pytest.raises(ValueError):
+            EventuallyPeriodicWord((0, 1), (2,), alphabet_size=2)
+        with pytest.raises(ValueError):
+            EventuallyPeriodicWord((0, -1), (1,), alphabet_size=2)
+        with pytest.raises(ValueError):
+            EventuallyPeriodicWord((), (-1,))
 
     @given(words())
+    @example(W("(0)"))
     def test_to_string_round_trip(self, w):
         assert W(w.to_string()) == w
 
@@ -145,16 +151,15 @@ class TestPat:
         with pytest.raises(ValueError):
             pat(W("(0)"), 0)
 
-    @given(words(), st.integers(2, 6))
+    @given(words(max_pre=8, max_per=5, alphabet=st.integers(1, 4)), st.integers(1, 12))
     def test_ranks_match_suffix_order(self, w, n):
-        pi = pat(w, n)
-        if pi is None:
-            return
+        # the definition: sort the suffixes by compare; undefined iff two are EQ
         sufs = [w.suffix(i) for i in range(1, n + 1)]
-        for i in range(n):
-            for j in range(n):
-                if pi[i] < pi[j]:
-                    assert compare(sufs[i], sufs[j]) == LT
+        order = sorted(range(n), key=cmp_to_key(lambda i, j: compare(sufs[i], sufs[j])))
+        if any(compare(sufs[i], sufs[j]) == EQ for i, j in zip(order, order[1:])):
+            assert pat(w, n) is None
+        else:
+            assert pat(w, n) == tuple(order.index(i) + 1 for i in range(n))
 
     @given(words(), st.integers(2, 6))
     def test_adjacent_rank_factors_are_primitive(self, w, n):
