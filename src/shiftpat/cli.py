@@ -228,6 +228,8 @@ def _cmd_conjecture2(args) -> int:
 
 
 def _cmd_xcheck(args) -> int:
+    if args.n_max < 2 or args.N_max < 2:
+        raise ValueError("need n_max >= 2 and N_max >= 2")
     lines = []
     cells = []
     all_ok = True

@@ -18,7 +18,7 @@ from math import comb
 
 from .permutations import marked_inverse, marked_rc, reduce, theta_inv
 from .realization import _n_min, n_min
-from .words import _rank_distinct, is_primitive, psi
+from .words import _pattern, is_primitive, psi
 
 __all__ = [
     "BoundExceededError",
@@ -157,6 +157,19 @@ def solve_recurrence(n: int, b):
     return tuple(unrolled), _alternate(n, b)
 
 
+def _fan_out(work, jobs, workers: int) -> list:
+    """[work(job) for job in jobs], on min(workers, len(jobs)) processes when that exceeds 1.
+
+    Results come back in job order, so a merge over them is the same for
+    any worker count.
+    """
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [work(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, jobs))
+
+
 @dataclass
 class PatternRow:
     """Stratification of S_n by minimal alphabet size."""
@@ -196,12 +209,7 @@ def enumerate_by_nmin(n: int, keep_members: bool = False, bound: int = DEFAULT_B
         raise ValueError("need n >= 1")
     if n == 1:
         return PatternRow(n=1, counts={1: 1}, members={1: ((1,),)} if keep_members else None)
-    jobs = [(n, first, keep_members) for first in range(1, n + 1)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_nmin_slice, jobs))
-    else:
-        parts = [_nmin_slice(job) for job in jobs]
+    parts = _fan_out(_nmin_slice, [(n, first, keep_members) for first in range(1, n + 1)], workers)
     counts = Counter()
     merged = {} if keep_members else None
     for part_counts, part_members in parts:
@@ -214,28 +222,16 @@ def enumerate_by_nmin(n: int, keep_members: bool = False, bound: int = DEFAULT_B
     return PatternRow(n=n, counts=dict(sorted(counts.items())), members=merged)
 
 
-def _constant_tail_pattern(prefix: bytes, tail: int, n: int):
-    """Pattern of prefix * tail^inf, or None when two suffixes coincide.
-
-    Beyond the prefix the word is constant, so the first len(prefix)
-    symbols of each suffix already decide every comparison: two suffixes
-    agreeing that far agree everywhere.
-    """
-    L = len(prefix)
-    ext = prefix + bytes([tail]) * (n - 1)
-    return _rank_distinct([ext[i : i + L] for i in range(n)])
-
-
 def _oracle_slice(args):
     n, N, first = args
     found = set()
-    tails = (0,) if N == 1 else (0, N - 1)
+    tails = [bytes([x]) for x in ((0,) if N == 1 else (0, N - 1))]
     for rest in product(range(N), repeat=n - 2):
         base = bytes((first,) + rest)
         for t in range(1, n):
             prefix = base + base[n - 1 - t :] * (n - 2)
-            for x in tails:
-                p = _constant_tail_pattern(prefix, x, n)
+            for tail in tails:
+                p = _pattern(prefix, tail, n)
                 if p is not None:
                     found.add(p)
     return found
@@ -251,12 +247,7 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     """
     if n < 2 or N < 1:
         raise ValueError("need n >= 2 and N >= 1")
-    jobs = [(n, N, first) for first in range(N)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_oracle_slice, jobs))
-    else:
-        parts = [_oracle_slice(job) for job in jobs]
+    parts = _fan_out(_oracle_slice, [(n, N, first) for first in range(N)], workers)
     out = set()
     for part in parts:
         out |= part
@@ -347,7 +338,7 @@ def omega_census(n: int, N: int) -> OmegaCensus:
                 stop = len(q)
                 while stop and q[stop - 1] == 0:
                     stop -= 1
-                words[q[:stop]] = _constant_tail_pattern(bytes(q), 0, n)
+                words[q[:stop]] = _pattern(q, (0,), n)
     buckets = {j: 0 for j in range(N - 1)}
     theta_buckets = {j: 0 for j in range(N - 1)}
     undefined = 0

@@ -40,13 +40,9 @@ def is_primitive(p) -> bool:
     True
     """
     p = tuple(p)
-    k = len(p)
-    if k == 0:
+    if not p:
         raise ValueError("empty word has no primitivity")
-    for d in range(1, k):
-        if k % d == 0 and p == p[:d] * (k // d):
-            return False
-    return True
+    return len(primitive_root(p)) == len(p)
 
 
 def primitive_root(p) -> tuple:
@@ -229,22 +225,28 @@ def pat(w: EventuallyPeriodicWord, n: int):
     """Rank pattern of the first n suffixes of w, or None if two coincide.
 
     Entry i is the lexicographic rank of suffix(w, i) among the first n
-    suffixes (1 = smallest). Since w is canonical, every suffix has a
-    preperiod of at most |pre| symbols and the period length |per|, so
-    the first 2*|pre| + |per| symbols of two suffixes decide their order
-    exactly; each such key is a window of one unrolled prefix of w.
+    suffixes (1 = smallest).
     """
     if n < 1:
         raise ValueError("pattern length must be >= 1")
-    width = 2 * len(w.pre) + len(w.per)
-    full = w.unroll(n - 1 + width)
-    return _rank_distinct([full[i : i + width] for i in range(n)])
+    return _pattern(w.pre, w.per, n)
 
 
-def _rank_distinct(keys):
-    """Rank of each key among all keys (1 = smallest), or None on a tie."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranks = [0] * len(keys)
+def _pattern(pre, per, n: int):
+    """pat of the word pre . per^inf, for any preperiod and nonempty period.
+
+    pre and per are both tuples or both bytes, canonical or not. The word
+    is unrolled once and suffix i is keyed by the window of its first
+    |pre| + |per| symbols. That width decides every comparison exactly:
+    past its first |pre| symbols every suffix lies in the periodic part and
+    is |per|-periodic, so two suffixes agreeing on |pre| + |per| symbols
+    agree on a whole period beyond |pre|, hence everywhere.
+    """
+    width = len(pre) + len(per)
+    full = pre + per * (-(-(n - 1) // len(per)) + 1)
+    keys = [full[i : i + width] for i in range(n)]
+    order = sorted(range(n), key=keys.__getitem__)
+    ranks = [0] * n
     prev = None
     for r, idx in enumerate(order, start=1):
         if keys[idx] == prev:

@@ -297,6 +297,14 @@ class TestXcheck:
             "xcheck: all agree",
         ]
 
+    @pytest.mark.parametrize("n_max,N_max", [("1", "1"), ("3", "1"), ("1", "3")])
+    def test_rejects_empty_grid(self, capsys, n_max, N_max):
+        # no cell to check must not read as agreement
+        code, out, err = run_cli(capsys, "xcheck", n_max, N_max)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: need n_max >= 2 and N_max >= 2\n"
+
     def test_mismatch_exit(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "count_a", lambda n, N, **kw: 999)
         code, out, _ = run_cli(capsys, "xcheck", "2", "2")

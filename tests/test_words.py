@@ -21,6 +21,7 @@ from shiftpat import (
     psi,
     word_complement,
 )
+from shiftpat.words import _pattern
 
 W = EventuallyPeriodicWord.from_string
 
@@ -160,6 +161,29 @@ class TestPat:
             assert pat(w, n) is None
         else:
             assert pat(w, n) == tuple(order.index(i) + 1 for i in range(n))
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda N: st.tuples(
+                st.just(N),
+                st.lists(st.integers(0, N - 1), max_size=10),
+                st.lists(st.integers(0, N - 1), min_size=1, max_size=4),
+            )
+        ),
+        st.integers(0, 3),
+        st.integers(1, 12),
+        st.booleans(),
+    )
+    @example((2, [1, 0, 1], [0, 1]), 2, 6, False)  # preperiod ends in period symbols
+    @example((2, [1], [0, 1, 0, 1]), 0, 7, True)  # non-primitive period, bytes
+    @example((3, [2, 0, 0], [0, 0]), 1, 5, True)  # constant tail, as in the oracle
+    def test_kernel_matches_pat_on_raw_pairs(self, drawn, repeats, n, as_bytes):
+        # the kernel takes the raw (pre, per) the oracle builds, not the canonical form
+        N, head, per = drawn
+        pre = (head + per * repeats)[-10:]
+        expected = pat(EventuallyPeriodicWord(pre, per, N), n)
+        convert = bytes if as_bytes else tuple
+        assert _pattern(convert(pre), convert(per), n) == expected
 
     @given(words(), st.integers(2, 6))
     def test_adjacent_rank_factors_are_primitive(self, w, n):
