@@ -17,10 +17,12 @@ import sys
 
 from .conjectures import check_conjecture1, check_conjecture2
 from .enumeration import (
+    DEFAULT_BOUND,
     BoundExceededError,
+    check_bound,
     count_a,
+    count_row,
     count_table,
-    enumerate_by_nmin,
     extremal_sextet,
     forbidden,
     minimal_forbidden,
@@ -230,25 +232,20 @@ def _cmd_conjecture2(args) -> int:
 def _cmd_xcheck(args) -> int:
     if args.n_max < 2 or args.N_max < 2:
         raise ValueError("need n_max >= 2 and N_max >= 2")
+    check_bound(args.n_max)
+    methods = ("closed", "brute", "oracle")
     lines = []
     cells = []
-    all_ok = True
     for n in range(2, args.n_max + 1):
-        brute = enumerate_by_nmin(n, workers=args.threads).counts
-        previous = frozenset()
-        for N in range(2, args.N_max + 1):
-            current = oracle_allowed(n, N, workers=args.threads)
-            closed = count_a(n, N)
-            b = brute.get(N, 0)
-            o = len(current) - len(previous)
+        rows = [count_row(n, args.N_max, method=m, workers=args.threads) for m in methods]
+        for N, (closed, b, o) in enumerate(zip(*rows), start=2):
             good = closed == b == o
-            all_ok = all_ok and good
             lines.append(
                 f"n={n} N={N} closed={closed} brute={b} oracle={o} "
                 + ("ok" if good else "MISMATCH")
             )
             cells.append({"n": n, "N": N, "closed": closed, "brute": b, "oracle": o, "ok": good})
-            previous = current
+    all_ok = all(cell["ok"] for cell in cells)
     lines.append("xcheck: " + ("all agree" if all_ok else "MISMATCH FOUND"))
     data = {
         "input": {"n_max": args.n_max, "N_max": args.N_max},
@@ -330,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture1", parents=[common], help="descent-set equidistribution check")
     p.add_argument("n", type=int)
-    p.add_argument("--bound", type=int, default=9, help="largest n the sweep will accept")
+    p.add_argument(
+        "--bound", type=int, default=DEFAULT_BOUND, help="largest n the sweep will accept"
+    )
     p.set_defaults(handler=_cmd_conjecture1)
 
     p = sub.add_parser("conjecture2", parents=[common], help="divisibility of the counts by 6")

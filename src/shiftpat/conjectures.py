@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 
-from .enumeration import BoundExceededError, DEFAULT_BOUND, count_table
+from .enumeration import DEFAULT_BOUND, check_bound, count_table
 from .permutations import descent_set, marked_cycles, theta_inv
 
 __all__ = [
@@ -69,8 +69,7 @@ def check_conjecture1(n: int, bound: int = DEFAULT_BOUND) -> Conjecture1Report:
 
     The comparison is by full descent SET, not just by count.
     """
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds the sweep bound {bound}")
+    check_bound(n, bound)
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = descent_distribution(t0_elements(n))

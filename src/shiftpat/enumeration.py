@@ -23,6 +23,7 @@ from .words import _pattern, is_primitive, psi
 __all__ = [
     "BoundExceededError",
     "DEFAULT_BOUND",
+    "check_bound",
     "count_binary",
     "count_a",
     "count_h",
@@ -45,6 +46,12 @@ DEFAULT_BOUND = 9
 
 class BoundExceededError(ValueError):
     """An exhaustive sweep was requested beyond its configured bound."""
+
+
+def check_bound(n: int, bound: int = DEFAULT_BOUND) -> None:
+    """Raise BoundExceededError if a sweep over S_n is past its bound."""
+    if n > bound:
+        raise BoundExceededError(f"n={n} exceeds the sweep bound {bound}")
 
 
 def count_binary(n: int) -> int:
@@ -80,23 +87,35 @@ def _alternate(n: int, b) -> tuple:
     return tuple(sum(c * b[k - i] for i, c in enumerate(signed[: k + 1])) for k in range(len(b)))
 
 
-def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed") -> tuple:
+def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
+              workers: int = 1) -> tuple:
     """(r(n, 2), ..., r(n, N_max)) for r = count_a, count_g or count_h.
 
-    Builds the series b_2 .. b_{N_max} once, then solves for the whole row
-    by the alternating binomial sum (closed) or by unrolling the recurrence.
+    methods: closed (the series b_2 .. b_{N_max} by the alternating binomial
+    sum), recurrence (that series unrolled; it is linear, so a = g + h), and
+    for kind "a" only brute (n_min over S_n) and oracle (realized-set sizes).
 
     >>> count_row(6, 5)
+    (126, 402, 186, 6)
+    >>> count_row(6, 5, method="oracle")
     (126, 402, 186, 6)
     """
     if n < 2 or N_max < 2:
         raise ValueError("need n, N >= 2")
     if kind not in _TERMS:
         raise ValueError(f"unknown kind: {kind!r}")
+    if method in ("brute", "oracle") and kind != "a":
+        raise ValueError(f"method {method!r} counts kind 'a' only")
+    if method == "brute":
+        counts = enumerate_by_nmin(n, workers=workers).counts
+        return tuple(counts.get(N, 0) for N in range(2, N_max + 1))
+    if method == "oracle":
+        sizes = [0] + [len(oracle_allowed(n, N, workers=workers)) for N in range(2, N_max + 1)]
+        return tuple(high - low for low, high in zip(sizes, sizes[1:]))
     if method not in ("closed", "recurrence"):
         raise ValueError(f"unknown method: {method!r}")
     b = [_TERMS[kind](n, M) for M in range(2, N_max + 1)]
-    return _alternate(n, b) if method == "closed" else solve_recurrence(n, b)[0]
+    return _alternate(n, b) if method == "closed" else solve_recurrence(n, b)
 
 
 def count_table(n_max: int):
@@ -108,22 +127,8 @@ def count_table(n_max: int):
 
 
 def count_a(n: int, N: int, method: str = "closed", workers: int = 1) -> int:
-    """a(n, N), the number of patterns with minimal alphabet exactly N.
-
-    methods: closed (inclusion-exclusion formula), recurrence (g + h
-    recurrences unrolled), brute (n_min over all of S_n), oracle
-    (realized-set difference from the word-family oracle).
-    """
-    if n < 2 or N < 2:
-        raise ValueError("need n, N >= 2")
-    if method == "recurrence":
-        return count_g(n, N, "recurrence") + count_h(n, N, "recurrence")
-    if method == "brute":
-        return enumerate_by_nmin(n, workers=workers).counts.get(N, 0)
-    if method == "oracle":
-        below = oracle_allowed(n, N - 1, workers=workers) if N > 2 else frozenset()
-        return len(oracle_allowed(n, N, workers=workers)) - len(below)
-    return count_row(n, N, "a", method)[-1]
+    """a(n, N), the number of patterns with minimal alphabet exactly N; see count_row."""
+    return count_row(n, N, "a", method, workers)[-1]
 
 
 def count_h(n: int, N: int, method: str = "closed") -> int:
@@ -140,21 +145,15 @@ def count_g(n: int, N: int, method: str = "closed") -> int:
     return count_row(n, N, "g", method)[-1]
 
 
-def solve_recurrence(n: int, b):
-    """Invert r_N = b_N - sum_{j>=1} C(n+j-1, j) r_{N-j} both ways.
+def solve_recurrence(n: int, b) -> tuple:
+    """Invert r_N = b_N - sum_{j>=1} C(n+j-1, j) r_{N-j} by running it.
 
-    b is indexed from N = 2. Returns (unrolled, closed): the first by
-    running the recurrence, the second by the alternating binomial
-    formula r_N = sum_i (-1)^i C(n, i) b_{N-i}. The two must coincide.
+    b is indexed from N = 2. The result must equal _alternate(n, b).
     """
-    b = tuple(b)
-    unrolled = []
-    for idx, b_val in enumerate(b):
-        acc = b_val
-        for j in range(1, idx + 1):
-            acc -= comb(n + j - 1, j) * unrolled[idx - j]
-        unrolled.append(acc)
-    return tuple(unrolled), _alternate(n, b)
+    r = []
+    for k, b_k in enumerate(b):
+        r.append(b_k - sum(comb(n + j - 1, j) * r[k - j] for j in range(1, k + 1)))
+    return tuple(r)
 
 
 def _fan_out(work, jobs, workers: int) -> list:
@@ -203,8 +202,7 @@ def enumerate_by_nmin(n: int, keep_members: bool = False, bound: int = DEFAULT_B
     Fans out over the first entry when workers > 1; the merged result is
     identical for any worker count.
     """
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds the sweep bound {bound}")
+    check_bound(n, bound)
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
@@ -247,11 +245,11 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     """
     if n < 2 or N < 1:
         raise ValueError("need n >= 2 and N >= 1")
-    parts = _fan_out(_oracle_slice, [(n, N, first) for first in range(N)], workers)
-    out = set()
-    for part in parts:
-        out |= part
-    return frozenset(out)
+    # A pattern depends only on how the n - 1 free symbols and the tail (the
+    # least or largest symbol) compare, so any N >= n gives the set of N = n.
+    N = min(N, n)
+    jobs = [(n, N, first) for first in range(N)]
+    return frozenset().union(*_fan_out(_oracle_slice, jobs, workers))
 
 
 def forbidden(n: int, N: int, workers: int = 1) -> frozenset:
@@ -263,17 +261,18 @@ def forbidden(n: int, N: int, workers: int = 1) -> frozenset:
 
 
 def minimal_forbidden(n: int, N: int, workers: int = 1) -> frozenset:
-    """Forbidden patterns all of whose proper windows are allowed."""
-    allowed_by_len = {m: oracle_allowed(m, N, workers=workers) for m in range(2, n)}
-    out = set()
-    for pi in forbidden(n, N, workers=workers):
-        if all(
-            reduce(pi[s : s + m]) in allowed_by_len[m]
-            for m in range(2, n)
-            for s in range(n - m + 1)
-        ):
-            out.add(pi)
-    return frozenset(out)
+    """Forbidden patterns all of whose proper windows are allowed.
+
+    Only the two windows of length n-1 are read: every shorter window lies
+    in one of them, and the realized sets are closed under consecutive
+    containment (the window at s .. s+m-1 of a pattern realized by w is
+    realized by the shifted word sigma^s(w)).
+    """
+    out = forbidden(n, N, workers=workers)
+    if n == 2:  # no proper window of length >= 2
+        return out
+    allowed = oracle_allowed(n - 1, N, workers=workers)
+    return frozenset(pi for pi in out if reduce(pi[1:]) in allowed and reduce(pi[:-1]) in allowed)
 
 
 def extremal_sextet(n: int) -> frozenset:

@@ -153,6 +153,12 @@ class TestPatternSets:
             "6 1 5 2 4 3",
         ]
 
+    def test_allowed_past_the_byte_range(self, capsys):
+        # N >= n gives the set of N = n, so a huge alphabet costs no more
+        code, out, _ = run_cli(capsys, "allowed", "3", "300")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 6
+
     def test_json_count_detail(self, capsys):
         _, out, _ = run_cli(capsys, "allowed", "--json", "4", "2")
         data = json.loads(out)
@@ -306,10 +312,27 @@ class TestXcheck:
         assert err == "error: need n_max >= 2 and N_max >= 2\n"
 
     def test_mismatch_exit(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "count_a", lambda n, N, **kw: 999)
+        real = cli.count_row
+
+        def wrong_closed_row(n, N_max, method="closed", **kw):
+            if method == "closed":
+                return (999,) * (N_max - 1)
+            return real(n, N_max, method=method, **kw)
+
+        monkeypatch.setattr(cli, "count_row", wrong_closed_row)
         code, out, _ = run_cli(capsys, "xcheck", "2", "2")
         assert code == EXIT_REFUTED
         assert "MISMATCH" in out
+
+    def test_bound_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kw):
+            raise AssertionError("xcheck computed a row past its bound")
+
+        monkeypatch.setattr(cli, "count_row", no_work)
+        code, out, err = run_cli(capsys, "xcheck", "10", "2")
+        assert code == EXIT_BOUND
+        assert out == ""
+        assert err == "error: n=10 exceeds the sweep bound 9\n"
 
 
 class TestParsing:

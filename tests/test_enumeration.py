@@ -28,6 +28,7 @@ from shiftpat import (
     reduce,
     solve_recurrence,
 )
+from shiftpat.enumeration import _alternate, _oracle_slice
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -119,6 +120,19 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             count_row(5, 3, "x")
 
+    def test_row_four_methods_agree(self):
+        for n in range(2, 8):
+            for N_max in range(2, 7):
+                rows = {count_row(n, N_max, method=m)
+                        for m in ("closed", "recurrence", "brute", "oracle")}
+                assert len(rows) == 1, (n, N_max, rows)
+
+    @pytest.mark.parametrize("kind", ["g", "h"])
+    @pytest.mark.parametrize("method", ["brute", "oracle"])
+    def test_brute_and_oracle_rows_count_a_only(self, kind, method):
+        with pytest.raises(ValueError, match="counts kind 'a' only"):
+            count_row(4, 3, kind, method)
+
 
 class TestHG:
     def test_h_worked(self):
@@ -161,23 +175,20 @@ class TestHG:
 
 class TestSolveRecurrence:
     def test_constant_ones(self):
-        unrolled, closed = solve_recurrence(3, [1, 1])
-        assert unrolled == closed == (1, -2)
+        assert solve_recurrence(3, [1, 1]) == _alternate(3, [1, 1]) == (1, -2)
 
     def test_h_sequence(self):
         n = 4
         b = [(N - 1) * N ** (n - 2) for N in range(2, 7)]
-        unrolled, closed = solve_recurrence(n, b)
-        assert unrolled == closed == tuple(count_h(n, N) for N in range(2, 7))
+        unrolled = solve_recurrence(n, b)
+        assert unrolled == _alternate(n, b) == tuple(count_h(n, N) for N in range(2, 7))
 
     def test_zero(self):
-        unrolled, closed = solve_recurrence(5, [0, 0, 0])
-        assert unrolled == closed == (0, 0, 0)
+        assert solve_recurrence(5, [0, 0, 0]) == _alternate(5, [0, 0, 0]) == (0, 0, 0)
 
     @given(st.integers(2, 7), st.lists(st.integers(-50, 50), min_size=1, max_size=6))
     def test_unrolled_always_matches_closed(self, n, b):
-        unrolled, closed = solve_recurrence(n, b)
-        assert unrolled == closed
+        assert solve_recurrence(n, b) == _alternate(n, b)
 
 
 class TestBruteForce:
@@ -228,6 +239,13 @@ class TestOracle:
     def test_parallel_merge_identical(self):
         assert oracle_allowed(6, 3, workers=2) == oracle_allowed(6, 3, workers=1)
 
+    def test_alphabets_past_the_length_add_nothing(self):
+        # the word family swept over all N > n symbols, without the clamp
+        for n in range(2, 7):
+            for N in range(n + 1, n + 3):
+                swept = frozenset().union(*(_oracle_slice((n, N, first)) for first in range(N)))
+                assert swept == oracle_allowed(n, N) == oracle_allowed(n, n), (n, N)
+
     def test_eventually_constant_words_add_nothing(self):
         # formula-free check: short one-tailed binary words stay inside
         # the family's pattern set
@@ -262,6 +280,18 @@ class TestForbidden:
             for line in (GOLDEN / "minimal_forbidden_4_2.txt").read_text().splitlines()
         }
         assert minimal_forbidden(4, 2) == want
+
+    def test_minimal_is_every_proper_window_allowed(self):
+        # the definition, over all windows of every length 2 .. n-1
+        for N in range(1, 5):
+            allowed = {m: oracle_allowed(m, N) for m in range(2, 7)}
+            for n in range(2, 8):
+                want = {
+                    pi for pi in forbidden(n, N)
+                    if all(reduce(pi[s : s + m]) in allowed[m]
+                           for m in range(2, n) for s in range(n - m + 1))
+                }
+                assert minimal_forbidden(n, N) == want, (n, N)
 
     def test_minimal_means_every_window_allowed(self):
         for pi in minimal_forbidden(6, 4):
