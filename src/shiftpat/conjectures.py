@@ -18,7 +18,6 @@ from .permutations import descent_set, marked_cycles, theta_inv
 __all__ = [
     "DescentDistribution",
     "descent_distribution",
-    "t0_elements",
     "Conjecture1Report",
     "check_conjecture1",
     "phi",
@@ -42,18 +41,10 @@ class DescentDistribution:
 
 def descent_distribution(elements) -> DescentDistribution:
     by_set = Counter(descent_set(e) for e in elements)
-    by_count = Counter(len(ds) for ds in by_set.elements())
+    by_count = Counter()
+    for ds, count in by_set.items():
+        by_count[len(ds)] += count
     return DescentDistribution(by_set=dict(by_set), by_count=dict(sorted(by_count.items())))
-
-
-def t0_elements(n: int):
-    """All n! n-cycles with one one-line entry rewritten to 0.
-
-    The stored encoding of a marked cycle already uses 0 for the erased
-    slot, so these are the same tuples; here the 0 takes part in
-    descent counting instead of being skipped.
-    """
-    return marked_cycles(n)
 
 
 @dataclass
@@ -67,12 +58,14 @@ class Conjecture1Report:
 def check_conjecture1(n: int, bound: int = DEFAULT_BOUND) -> Conjecture1Report:
     """Compare descent-set distributions of zero-marked cycles and S_n.
 
-    The comparison is by full descent SET, not just by count.
+    The comparison is by full descent SET, not just by count. The cycles
+    are the marked cycles as stored, with 0 in the erased slot; that 0
+    takes part in the descent count instead of being skipped.
     """
     check_bound(n, bound)
     if n < 1:
         raise ValueError("need n >= 1")
-    t0 = descent_distribution(t0_elements(n))
+    t0 = descent_distribution(marked_cycles(n))
     sn = descent_distribution(_all_permutations(range(1, n + 1)))
     return Conjecture1Report(
         n=n, matches=t0.by_set == sn.by_set, t0_distribution=t0, sn_distribution=sn

@@ -17,7 +17,7 @@ from itertools import permutations as _all_permutations, product
 from math import comb
 
 from .permutations import marked_inverse, marked_rc, reduce, theta_inv
-from .realization import _n_min, n_min
+from .realization import _n_min
 from .words import _pattern, is_primitive, psi
 
 __all__ = [
@@ -110,8 +110,10 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
         counts = enumerate_by_nmin(n, workers=workers).counts
         return tuple(counts.get(N, 0) for N in range(2, N_max + 1))
     if method == "oracle":
-        sizes = [0] + [len(oracle_allowed(n, N, workers=workers)) for N in range(2, N_max + 1)]
-        return tuple(high - low for low, high in zip(sizes, sizes[1:]))
+        # every N >= n realizes the set of N = n, so the row is 0 past n
+        top = min(N_max, n)
+        sizes = [0] + [len(oracle_allowed(n, N, workers=workers)) for N in range(2, top + 1)]
+        return tuple(high - low for low, high in zip(sizes, sizes[1:])) + (0,) * (N_max - top)
     if method not in ("closed", "recurrence"):
         raise ValueError(f"unknown method: {method!r}")
     b = [_TERMS[kind](n, M) for M in range(2, N_max + 1)]
@@ -175,28 +177,18 @@ class PatternRow:
 
     n: int
     counts: dict
-    members: dict | None = None
 
     def total(self) -> int:
         return sum(self.counts.values())
 
 
 def _nmin_slice(args):
-    n, first, keep = args
-    counts = Counter()
-    members = {} if keep else None
+    n, first = args
     rest = [v for v in range(1, n + 1) if v != first]
-    for tail in _all_permutations(rest):
-        pi = (first,) + tail
-        N = _n_min(pi)
-        counts[N] += 1
-        if keep:
-            members.setdefault(N, []).append(pi)
-    return counts, members
+    return Counter(_n_min((first,) + tail) for tail in _all_permutations(rest))
 
 
-def enumerate_by_nmin(n: int, keep_members: bool = False, bound: int = DEFAULT_BOUND,
-                      workers: int = 1) -> PatternRow:
+def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> PatternRow:
     """Classify every permutation of S_n by n_min; counts per alphabet size.
 
     Fans out over the first entry when workers > 1; the merged result is
@@ -206,18 +198,11 @@ def enumerate_by_nmin(n: int, keep_members: bool = False, bound: int = DEFAULT_B
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return PatternRow(n=1, counts={1: 1}, members={1: ((1,),)} if keep_members else None)
-    parts = _fan_out(_nmin_slice, [(n, first, keep_members) for first in range(1, n + 1)], workers)
+        return PatternRow(n=1, counts={1: 1})
     counts = Counter()
-    merged = {} if keep_members else None
-    for part_counts, part_members in parts:
-        counts.update(part_counts)
-        if keep_members:
-            for N, perms in part_members.items():
-                merged.setdefault(N, []).extend(perms)
-    if keep_members:
-        merged = {N: tuple(sorted(perms)) for N, perms in sorted(merged.items())}
-    return PatternRow(n=n, counts=dict(sorted(counts.items())), members=merged)
+    for part in _fan_out(_nmin_slice, [(n, first) for first in range(1, n + 1)], workers):
+        counts.update(part)
+    return PatternRow(n=n, counts=dict(sorted(counts.items())))
 
 
 def _oracle_slice(args):
@@ -345,7 +330,7 @@ def omega_census(n: int, N: int) -> OmegaCensus:
         if pattern is None:
             undefined += 1
             continue
-        j = N - n_min(pattern)
+        j = N - _n_min(pattern)
         buckets[j] += 1
         if pattern[-1] == 1:
             theta_buckets[j] += 1

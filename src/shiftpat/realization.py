@@ -116,10 +116,9 @@ def n_min_marked(pi) -> int:
 
     Must agree with n_min on every permutation.
     """
-    pi = check_permutation(pi)
-    if len(pi) == 1:
-        return 1
     mc = theta(pi)
+    if len(mc) == 1:
+        return 1
     return 1 + marked_des(mc) + marked_eps(mc)
 
 
@@ -208,10 +207,7 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     pi, inv = _checked(pi)
     n = len(pi)
     b = pi[-1]
-    strict_values = _a_set(pi, inv)
     d, case = _delta(pi, inv)
-    N = 1 + len(strict_values) + d
-    base = _base_assignment(_required_chain(pi, inv, strict_values, case))
     if variant is None:
         variant = "A" if pi[-2] > b else "B"
     variant = str(variant).upper()
@@ -223,34 +219,41 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
             if b == n:
                 raise ValueError("variant A needs pi(n) != n")
             k = inv[b + 1]
-            tail = 0
         else:
             if b == 1:
                 raise ValueError("variant B needs pi(n) != 1")
             k = inv[b - 1]
-            tail = N - 1
         reps = n - 1 if m is None else int(m)
         if reps < 1 or (reps - 1) * (n - k) < n - 2:
             raise ValueError(f"m={reps} is below the repetition bound for k={k}")
-        prefix = base[: k - 1] + base[k - 1 :] * reps
     elif variant == "C":
         if b != 1:
             raise ValueError("variant C needs pi(n) = 1")
-        prefix, tail = base, 0
     elif variant == "D":
         if b != n:
             raise ValueError("variant D needs pi(n) = n")
-        prefix, tail = base, N - 1
     elif variant in ("E", "F"):
         if not 1 < b < n or case != "I":
             raise ValueError("variants E and F need an interior pi(n) with a strict neighbor gap")
+    else:
+        raise ValueError(f"unknown witness variant: {variant!r}")
+    # pi and the variant are valid from here on: build the word
+    strict_values = _a_set(pi, inv)
+    N = 1 + len(strict_values) + d
+    base = _base_assignment(_required_chain(pi, inv, strict_values, case))
+    if variant in ("A", "B"):
+        prefix = base[: k - 1] + base[k - 1 :] * reps
+        tail = 0 if variant == "A" else N - 1
+    elif variant == "C":
+        prefix, tail = base, 0
+    elif variant == "D":
+        prefix, tail = base, N - 1
+    else:
         c = base[inv[b - 1] - 1]
         if variant == "E":
             prefix, tail = base + (c,), N - 1
         else:
             prefix, tail = base + (c + 1,), 0
-    else:
-        raise ValueError(f"unknown witness variant: {variant!r}")
     word = EventuallyPeriodicWord(prefix, (tail,), N)
     return WitnessSpec(variant=variant, k=k, m=reps, word=word)
 

@@ -35,7 +35,6 @@ from shiftpat import (
     phi,
     phi_inv,
     reduce,
-    t0_elements,
     witness,
 )
 
@@ -232,7 +231,7 @@ def test_criterion_09_conjecture_suite():
                 assert phi_inv(out) == mc
                 assert descent_count(out) == marked_des(mc)
                 image.add(out)
-            assert image == set(t0_elements(n - 2)), n
+            assert image == set(marked_cycles(n - 2)), n
 
         report = check_conjecture2(12)
         assert report.verified()

@@ -20,7 +20,6 @@ from shiftpat import (
     marked_rc,
     phi,
     phi_inv,
-    t0_elements,
 )
 
 
@@ -36,7 +35,7 @@ def e_prime_n(n):
 
 class TestT0:
     def test_listed_elements_for_three(self):
-        assert set(t0_elements(3)) == {
+        assert set(marked_cycles(3)) == {
             (0, 3, 1),
             (2, 0, 1),
             (2, 3, 0),
@@ -47,10 +46,10 @@ class TestT0:
 
     def test_population_sizes(self):
         for n in range(2, 8):
-            assert sum(1 for _ in t0_elements(n)) == math.factorial(n)
+            assert sum(1 for _ in marked_cycles(n)) == math.factorial(n)
 
     def test_descent_census_for_three(self):
-        counts = Counter(descent_count(mc) for mc in t0_elements(3))
+        counts = Counter(descent_count(mc) for mc in marked_cycles(3))
         assert counts == {0: 1, 1: 4, 2: 1}
 
 
@@ -103,7 +102,7 @@ class TestPhi:
     def test_image_is_all_of_t0(self):
         for n in (5, 6):
             image = {phi(mc) for mc in e_n(n)}
-            assert image == set(t0_elements(n - 2))
+            assert image == set(marked_cycles(n - 2))
 
     def test_membership_sizes(self):
         for n in range(3, 9):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from shiftpat import enumeration
 from shiftpat import (
     BoundExceededError,
     EventuallyPeriodicWord,
@@ -127,6 +128,18 @@ class TestClosedForms:
                         for m in ("closed", "recurrence", "brute", "oracle")}
                 assert len(rows) == 1, (n, N_max, rows)
 
+    def test_oracle_row_stops_at_n(self, monkeypatch):
+        calls = []
+        sweep = enumeration.oracle_allowed
+
+        def counted(n, N, workers=1):
+            calls.append(N)
+            return sweep(n, N, workers=workers)
+
+        monkeypatch.setattr(enumeration, "oracle_allowed", counted)
+        assert count_row(5, 12, method="oracle") == count_row(5, 12)
+        assert calls == [2, 3, 4, 5]
+
     @pytest.mark.parametrize("kind", ["g", "h"])
     @pytest.mark.parametrize("method", ["brute", "oracle"])
     def test_brute_and_oracle_rows_count_a_only(self, kind, method):
@@ -201,9 +214,11 @@ class TestBruteForce:
             assert enumerate_by_nmin(n).total() == math.factorial(n)
 
     def test_members_partition(self):
-        row = enumerate_by_nmin(4, keep_members=True)
-        assert set(row.members[2]) == ALLOWED_4_2
-        assert len(row.members[3]) == 6
+        strata = {}
+        for pi in s_n(4):
+            strata.setdefault(n_min(pi), set()).add(pi)
+        assert strata[2] == ALLOWED_4_2
+        assert len(strata[3]) == 6
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
@@ -211,10 +226,9 @@ class TestBruteForce:
         assert enumerate_by_nmin(10, bound=10).counts[2] == count_binary(10)
 
     def test_parallel_merge_identical(self):
-        solo = enumerate_by_nmin(6, keep_members=True, workers=1)
-        duo = enumerate_by_nmin(6, keep_members=True, workers=2)
+        solo = enumerate_by_nmin(6, workers=1)
+        duo = enumerate_by_nmin(6, workers=2)
         assert solo.counts == duo.counts
-        assert solo.members == duo.members
 
 
 class TestOracle:

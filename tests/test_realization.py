@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from shiftpat import permutations as permutations_module, realization
 from shiftpat import (
     EventuallyPeriodicWord,
     a_set,
@@ -88,6 +89,19 @@ class TestNMin:
     def test_marked_formula_worked(self):
         assert n_min_marked((8, 9, 3, 1, 4, 6, 2, 7, 5)) == 4
         assert n_min_marked((3, 4, 2, 1)) == 3
+
+    def test_marked_formula_checks_once(self, monkeypatch):
+        calls = []
+        check = permutations_module.check_permutation
+
+        def counted(pi):
+            calls.append(pi)
+            return check(pi)
+
+        monkeypatch.setattr(permutations_module, "check_permutation", counted)
+        monkeypatch.setattr(realization, "check_permutation", counted)
+        assert n_min_marked((3, 1, 2)) == 2
+        assert len(calls) == 1
 
     def test_two_formulas_agree_exhaustively(self):
         for n in range(2, 9):
@@ -231,6 +245,26 @@ class TestWitness:
             witness((2, 3, 1), variant="D")
         with pytest.raises(ValueError, match="E and F"):
             witness((4, 3, 6, 1, 5, 2), variant="E")
+
+    @pytest.mark.parametrize(
+        "pi, variant, m, message",
+        [
+            ((1, 2, 3), "A", None, "variant A"),
+            ((2, 3, 1), "B", None, "variant B"),
+            ((2, 1, 3), "C", None, "variant C"),
+            ((4, 3, 6, 1, 5, 2), "E", None, "E and F"),
+            ((4, 3, 6, 1, 5, 2), "A", 1, "repetition bound"),
+        ],
+        ids=["A", "B", "C", "E", "A-m1"],
+    )
+    def test_rejects_before_building(self, monkeypatch, pi, variant, m, message):
+        def unreachable(*args):
+            raise AssertionError("built a word for a rejected request")
+
+        monkeypatch.setattr(realization, "_base_assignment", unreachable)
+        monkeypatch.setattr(realization, "_a_set", unreachable)
+        with pytest.raises(ValueError, match=message):
+            witness(pi, variant, m)
 
     def test_soundness_all_variants_small(self):
         for n in range(2, 7):
