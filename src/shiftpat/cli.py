@@ -28,15 +28,8 @@ from .enumeration import (
     minimal_forbidden,
     oracle_allowed,
 )
-from .permutations import (
-    format_marked,
-    format_permutation,
-    marked_des,
-    marked_eps,
-    parse_permutation,
-    theta,
-)
-from .realization import a_set, delta, n_min, realize_check, witness
+from .permutations import format_marked, format_permutation, parse_permutation
+from .realization import explain_nmin, realize_check, witness
 from .words import EventuallyPeriodicWord, pat
 
 EXIT_OK = 0
@@ -78,30 +71,27 @@ def _perm_lines(perms) -> list:
 
 def _cmd_nmin(args) -> int:
     pi = _perm(args.perm)
-    N = n_min(pi)
-    strict = sorted(a_set(pi)) if len(pi) >= 2 else []
-    d, case = delta(pi) if len(pi) >= 2 else (0, None)
-    mc = theta(pi)
-    des = marked_des(mc) if len(pi) >= 2 else 0
-    eps = marked_eps(mc) if len(pi) >= 2 else 0
+    report = explain_nmin(pi)
+    strict = sorted(report.a_set)
+    theta = format_marked(report.theta)
     data = {
         "input": {"perm": list(pi)},
-        "result": N,
+        "result": report.n_min,
         "details": {
             "A": strict,
-            "delta": d,
-            "delta_case": case,
-            "theta": format_marked(mc),
-            "des": des,
-            "eps": eps,
+            "delta": report.delta,
+            "delta_case": report.delta_case,
+            "theta": theta,
+            "des": report.des,
+            "eps": report.eps,
         },
     }
     lines = [
-        f"N={N}",
+        f"N={report.n_min}",
         "A={" + ",".join(str(a) for a in strict) + "}",
-        f"Delta={d} case={case if case else 'none'}",
-        f"theta={format_marked(mc)}",
-        f"des={des} eps={eps}",
+        f"Delta={report.delta} case={report.delta_case or 'none'}",
+        f"theta={theta}",
+        f"des={report.des} eps={report.eps}",
     ]
     _emit(args, data, lines)
     return EXIT_OK

@@ -15,8 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations, product
 from math import comb
+from operator import gt
 
-from .permutations import marked_inverse, marked_rc, reduce, theta_inv
+from .permutations import _cycles, marked_inverse, marked_rc, reduce, theta_inv
 from .realization import _n_min
 from .words import _pattern, is_primitive, psi
 
@@ -93,7 +94,8 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
 
     methods: closed (the series b_2 .. b_{N_max} by the alternating binomial
     sum), recurrence (that series unrolled; it is linear, so a = g + h), and
-    for kind "a" only brute (n_min over S_n) and oracle (realized-set sizes).
+    for kind "a" only brute (the marked-cycle N over S_n) and oracle
+    (realized-set sizes).
 
     >>> count_row(6, 5)
     (126, 402, 186, 6)
@@ -183,16 +185,34 @@ class PatternRow:
 
 
 def _nmin_slice(args):
-    n, first = args
-    rest = [v for v in range(1, n + 1) if v != first]
-    return Counter(_n_min((first,) + tail) for tail in _all_permutations(rest))
+    """Counter of N(pi) over the pi whose marked cycle theta(pi) has sigma(1) = second.
+
+    theta maps S_n one-to-one onto the marked cycles, so every pi is one
+    n-cycle sigma with one slot p erased, and N(pi) = 1 + des + eps there
+    (des counts the descents left after deleting slot p). The cycle's
+    descent bits d are read once; deleting slot p removes d[p-1] and d[p]
+    and compares sigma_{p-1} with sigma_{p+1} instead. eps is 1 only for
+    the mark shapes [*, 1, ...] and [..., n, *].
+    """
+    n, second = args
+    counts = Counter()
+    marks = range(1, n + 1)
+    for s in _cycles(n, second):
+        d = list(map(gt, s, s[1:]))  # d[i] = [s_i > s_{i+1}]; the pads make d[0] = d[n] = 0
+        top = 1 + sum(d)
+        N = [top - d[p - 1] - d[p] + (s[p - 1] > s[p + 1]) for p in marks]
+        N[0] += s[2] == 1
+        N[-1] += s[n - 1] == n
+        counts.update(N)
+    return counts
 
 
 def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> PatternRow:
     """Classify every permutation of S_n by n_min; counts per alphabet size.
 
-    Fans out over the first entry when workers > 1; the merged result is
-    identical for any worker count.
+    Sweeps the (n-1)! n-cycles and their n marks with the marked-cycle
+    formula; the A/Delta formula is not read. Fans out over sigma(1) when
+    workers > 1; the merged result is identical for any worker count.
     """
     check_bound(n, bound)
     if n < 1:
@@ -200,7 +220,7 @@ def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> P
     if n == 1:
         return PatternRow(n=1, counts={1: 1})
     counts = Counter()
-    for part in _fan_out(_nmin_slice, [(n, first) for first in range(1, n + 1)], workers):
+    for part in _fan_out(_nmin_slice, [(n, second) for second in range(2, n + 1)], workers):
         counts.update(part)
     return PatternRow(n=n, counts=dict(sorted(counts.items())))
 

@@ -173,21 +173,35 @@ def is_n_cycle(pi) -> bool:
     return len(cycle_decomposition(pi)) == 1
 
 
+def _cycles(n: int, second: int):
+    """The n-cycles with sigma(1) = second, as lists [0, sigma_1, ..., sigma_n, n+1].
+
+    The pads make s[i] index sigma_i directly and compare below and above
+    every entry, so a descent at either end needs no special case. For
+    n = 1 the one cycle has second = 1. The cycles 1 -> second -> ... -> 1
+    come in lexicographic order of the rest of the walk, which is the
+    order of n_cycles. Each list is new, so callers may keep it.
+    """
+    rest = [v for v in range(2, n + 1) if v != second]
+    for walk in _all_permutations(rest):
+        s = [0] * (n + 1) + [n + 1]
+        s[1] = prev = second
+        for v in walk:
+            s[prev] = prev = v
+        s[prev] = 1
+        yield s
+
+
 def n_cycles(n: int):
-    """All (n-1)! permutations of S_n that are a single n-cycle."""
+    """All (n-1)! permutations of S_n that are a single n-cycle.
+
+    Ordered by the cycle 1 -> sigma(1) -> sigma^2(1) -> ... read as a word.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        yield (1,)
-        return
-    for order in _all_permutations(range(2, n + 1)):
-        sigma = [0] * n
-        prev = 1
-        for v in order:
-            sigma[prev - 1] = v
-            prev = v
-        sigma[prev - 1] = 1
-        yield tuple(sigma)
+    for second in range(min(n, 2), n + 1):  # sigma(1) = 1 only when n = 1
+        for s in _cycles(n, second):
+            yield tuple(s[1:-1])
 
 
 def theta(pi) -> tuple:
@@ -198,7 +212,11 @@ def theta(pi) -> tuple:
     >>> theta((3, 4, 2, 1))
     (0, 1, 4, 2)
     """
-    pi = check_permutation(pi)
+    return _theta(check_permutation(pi))
+
+
+def _theta(pi) -> tuple:
+    """theta of a permutation tuple that is trusted to be valid."""
     n = len(pi)
     out = [0] * n
     for k in range(n - 1):

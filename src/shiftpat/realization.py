@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutations import check_permutation, marked_des, marked_eps, theta
+from .permutations import _theta, check_permutation, marked_des, marked_eps, theta
 from .words import EventuallyPeriodicWord, pat
 
 __all__ = [
@@ -19,6 +19,8 @@ __all__ = [
     "delta",
     "n_min",
     "n_min_marked",
+    "NminExplanation",
+    "explain_nmin",
     "RequiredChain",
     "required_chain",
     "base_assignment",
@@ -120,6 +122,35 @@ def n_min_marked(pi) -> int:
     if len(mc) == 1:
         return 1
     return 1 + marked_des(mc) + marked_eps(mc)
+
+
+@dataclass(frozen=True)
+class NminExplanation:
+    """N(pi) with both of its derivations: A(pi) and Delta, and theta(pi) with des and eps."""
+
+    n_min: int
+    a_set: frozenset
+    delta: int
+    delta_case: str | None
+    theta: tuple
+    des: int
+    eps: int
+
+
+def explain_nmin(pi) -> NminExplanation:
+    """Check pi once and report N(pi), A(pi), Delta and its case, theta(pi), des and eps.
+
+    >>> explain_nmin((4, 3, 6, 1, 5, 2)).theta
+    (5, 0, 6, 3, 2, 1)
+    """
+    pi = check_permutation(pi)
+    mc = _theta(pi)
+    if len(pi) == 1:
+        return NminExplanation(1, frozenset(), 0, None, mc, 0, 0)
+    inv = _positions(pi)
+    strict = _a_set(pi, inv)
+    d, case = _delta(pi, inv)
+    return NminExplanation(1 + len(strict) + d, strict, d, case, mc, marked_des(mc), marked_eps(mc))
 
 
 @dataclass(frozen=True)

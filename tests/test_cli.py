@@ -1,6 +1,9 @@
 """End-to-end checks of the command line: exact text, JSON shape, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import permutations
 from pathlib import Path
 
@@ -75,6 +78,19 @@ class TestNmin:
         assert code == EXIT_MALFORMED
         assert out == ""
         assert err == "error: not a permutation of 1..3: (4, 4, 1)\n"
+
+    def test_python_dash_m(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftpat", "nmin", "21"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == "N=2\nA={}\nDelta=1 case=II\ntheta=* 1\ndes=0 eps=1\n"
 
 
 class TestWitness:

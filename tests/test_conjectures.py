@@ -79,6 +79,17 @@ class TestConjecture1:
         with pytest.raises(ValueError):
             check_conjecture1(0)
 
+    def test_both_sides_match_direct_sweeps(self):
+        for n in range(1, 9):
+            report = check_conjecture1(n)
+            for got, elements in (
+                (report.t0_distribution, marked_cycles(n)),
+                (report.sn_distribution, permutations(range(1, n + 1))),
+            ):
+                want = descent_distribution(elements)
+                assert got.by_set == want.by_set, n
+                assert list(got.by_count.items()) == list(want.by_count.items()), n
+
     def test_descent_distribution_helper(self):
         dist = descent_distribution(permutations(range(1, 4)))
         assert dist.size() == 6

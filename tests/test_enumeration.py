@@ -1,6 +1,7 @@
 """Counting formulas, brute-force and word-family oracles, pattern sets."""
 
 import math
+from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
 
@@ -225,10 +226,16 @@ class TestBruteForce:
             enumerate_by_nmin(10)
         assert enumerate_by_nmin(10, bound=10).counts[2] == count_binary(10)
 
+    def test_marked_sweep_matches_a_delta_formula(self):
+        # the brute row reads only the marked-cycle formula; this is the A/Delta side
+        for n in range(1, 9):
+            assert enumerate_by_nmin(n).counts == Counter(n_min(pi) for pi in s_n(n)), n
+
     def test_parallel_merge_identical(self):
-        solo = enumerate_by_nmin(6, workers=1)
-        duo = enumerate_by_nmin(6, workers=2)
+        solo = enumerate_by_nmin(7, workers=1)
+        duo = enumerate_by_nmin(7, workers=2)
         assert solo.counts == duo.counts
+        assert list(solo.counts) == list(duo.counts)
 
 
 class TestOracle:

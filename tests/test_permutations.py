@@ -151,6 +151,15 @@ class TestCycles:
             assert len(set(cycles)) == len(cycles)
             assert all(is_n_cycle(pi) for pi in cycles)
 
+    def test_n_cycles_order(self):
+        # the cycles 1 -> c_1 -> ... -> c_{n-1} -> 1, walks in lexicographic order
+        for n in range(1, 8):
+            expected = []
+            for walk in permutations(range(2, n + 1)):
+                one_line = dict(zip((1,) + walk, walk + (1,)))
+                expected.append(tuple(one_line[i] for i in range(1, n + 1)))
+            assert list(n_cycles(n)) == expected, n
+
 
 class TestTheta:
     def test_worked_nine(self):

@@ -11,13 +11,17 @@ from shiftpat import (
     base_assignment,
     complement,
     delta,
+    explain_nmin,
     is_primitive,
+    marked_des,
+    marked_eps,
     n_min,
     n_min_marked,
     oracle_allowed,
     pat,
     realize_check,
     required_chain,
+    theta,
     witness,
 )
 
@@ -48,7 +52,7 @@ def applicable_variants(pi):
 @pytest.mark.parametrize("bad", [(), (1, 1), (0, 1), (2, 3)])
 @pytest.mark.parametrize(
     "entry",
-    [a_set, delta, n_min, n_min_marked, required_chain, base_assignment, witness],
+    [a_set, delta, n_min, n_min_marked, explain_nmin, required_chain, base_assignment, witness],
     ids=lambda f: f.__name__,
 )
 def test_entry_points_reject_non_permutations(entry, bad):
@@ -115,6 +119,44 @@ class TestNMin:
     def test_complement_symmetry(self):
         for pi in s_n(7):
             assert n_min(complement(pi)) == n_min(pi)
+
+
+class TestExplainNmin:
+    def test_worked_value(self):
+        report = explain_nmin((4, 3, 6, 1, 5, 2))
+        assert report.n_min == 4
+        assert report.a_set == frozenset({3, 4, 5})
+        assert (report.delta, report.delta_case) == (0, None)
+        assert report.theta == (5, 0, 6, 3, 2, 1)
+        assert (report.des, report.eps) == (3, 0)
+
+    def test_length_one(self):
+        report = explain_nmin((1,))
+        assert (report.n_min, report.a_set, report.delta, report.delta_case) == (1, frozenset(), 0, None)
+        assert (report.theta, report.des, report.eps) == ((0,), 0, 0)
+
+    def test_matches_the_public_entry_points(self):
+        for n in range(2, 7):
+            for pi in s_n(n):
+                report = explain_nmin(pi)
+                mc = theta(pi)
+                assert report.n_min == n_min(pi) == 1 + report.des + report.eps
+                assert report.a_set == a_set(pi)
+                assert (report.delta, report.delta_case) == delta(pi)
+                assert (report.theta, report.des, report.eps) == (mc, marked_des(mc), marked_eps(mc))
+
+    def test_checks_once(self, monkeypatch):
+        calls = []
+        check = permutations_module.check_permutation
+
+        def counted(pi):
+            calls.append(pi)
+            return check(pi)
+
+        monkeypatch.setattr(permutations_module, "check_permutation", counted)
+        monkeypatch.setattr(realization, "check_permutation", counted)
+        assert explain_nmin((8, 9, 3, 1, 4, 6, 2, 7, 5)).delta_case == "I"
+        assert len(calls) == 1
 
 
 class TestRequiredChain:
