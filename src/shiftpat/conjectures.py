@@ -14,7 +14,7 @@ from math import factorial
 from operator import gt
 
 from .enumeration import DEFAULT_BOUND, check_bound, count_table
-from .permutations import _cycles, descent_set, theta_inv
+from .permutations import descent_set, n_cycles, theta_inv
 
 __all__ = [
     "DescentDistribution",
@@ -68,9 +68,8 @@ def _t0_descent_sets(n: int) -> Counter:
     64, 1993) count the cycles themselves by descent set.
     """
     cycle_sets = Counter()
-    for second in range(min(n, 2), n + 1):  # sigma(1) = 1 only when n = 1
-        for s in _cycles(n, second):
-            cycle_sets[tuple(map(gt, s[1:n], s[2:n + 1]))] += 1
+    for sigma in n_cycles(n):
+        cycle_sets[tuple(map(gt, sigma, sigma[1:]))] += 1
     # bit(i) for position i, 0 outside 1..n-1
     bit = [0] + [1 << (i - 1) for i in range(1, n)] + [0]
     out = Counter()

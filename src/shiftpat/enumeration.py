@@ -94,8 +94,8 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
 
     methods: closed (the series b_2 .. b_{N_max} by the alternating binomial
     sum), recurrence (that series unrolled; it is linear, so a = g + h), and
-    for kind "a" only brute (the marked-cycle N over S_n) and oracle
-    (realized-set sizes).
+    for kind "a" only brute (the marked-cycle N over S_n) and oracle (each
+    pattern's least alphabet, from one word-family sweep).
 
     >>> count_row(6, 5)
     (126, 402, 186, 6)
@@ -108,14 +108,10 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
         raise ValueError(f"unknown kind: {kind!r}")
     if method in ("brute", "oracle") and kind != "a":
         raise ValueError(f"method {method!r} counts kind 'a' only")
-    if method == "brute":
-        counts = enumerate_by_nmin(n, workers=workers).counts
+    if method in ("brute", "oracle"):
+        counts = (enumerate_by_nmin(n, workers=workers).counts if method == "brute"
+                  else Counter(_least_alphabets(n, N_max, workers).values()))
         return tuple(counts.get(N, 0) for N in range(2, N_max + 1))
-    if method == "oracle":
-        # every N >= n realizes the set of N = n, so the row is 0 past n
-        top = min(N_max, n)
-        sizes = [0] + [len(oracle_allowed(n, N, workers=workers)) for N in range(2, top + 1)]
-        return tuple(high - low for low, high in zip(sizes, sizes[1:])) + (0,) * (N_max - top)
     if method not in ("closed", "recurrence"):
         raise ValueError(f"unknown method: {method!r}")
     b = [_TERMS[kind](n, M) for M in range(2, N_max + 1)]
@@ -217,27 +213,42 @@ def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> P
     check_bound(n, bound)
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return PatternRow(n=1, counts={1: 1})
-    counts = Counter()
-    for part in _fan_out(_nmin_slice, [(n, second) for second in range(2, n + 1)], workers):
-        counts.update(part)
+    jobs = [(n, second) for second in range(min(n, 2), n + 1)]  # sigma(1) = 1 only when n = 1
+    counts = sum(_fan_out(_nmin_slice, jobs, workers), Counter())
     return PatternRow(n=n, counts=dict(sorted(counts.items())))
 
 
 def _oracle_slice(args):
+    """{pi: the fewest distinct symbols of a family word starting with first that realizes pi}."""
     n, N, first = args
-    found = set()
-    tails = [bytes([x]) for x in ((0,) if N == 1 else (0, N - 1))]
+    found = [set() for _ in range(N + 1)]
+    tails = [bytes([x]) for x in {0, N - 1}]
     for rest in product(range(N), repeat=n - 2):
         base = bytes((first,) + rest)
+        adds = [(tail, found[len(set(base + tail))].add) for tail in tails]
         for t in range(1, n):
             prefix = base + base[n - 1 - t :] * (n - 2)
-            for tail in tails:
+            for tail, add in adds:
                 p = _pattern(prefix, tail, n)
                 if p is not None:
-                    found.add(p)
-    return found
+                    add(p)
+    return {pi: k for k in range(N, 0, -1) for pi in found[k]}  # the least k is written last
+
+
+def _least_alphabets(n: int, N: int, workers: int) -> dict:
+    """{pi: N(pi)} for every pi with N(pi) <= N, from one sweep of the word family.
+
+    Patterns depend only on how symbols compare, and a family word's tail is
+    its least or largest symbol, so a word with k distinct symbols relabels
+    into the family over k letters, and that shifts into the family over any
+    N >= k. A word has at most n symbols, so N >= n gives the map of N = n.
+    """
+    N = min(N, n)
+    least = {}
+    for part in _fan_out(_oracle_slice, [(n, N, first) for first in range(N)], workers):
+        for pi, k in part.items():
+            least[pi] = min(k, least.get(pi, k))
+    return least
 
 
 def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
@@ -250,19 +261,12 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     """
     if n < 2 or N < 1:
         raise ValueError("need n >= 2 and N >= 1")
-    # A pattern depends only on how the n - 1 free symbols and the tail (the
-    # least or largest symbol) compare, so any N >= n gives the set of N = n.
-    N = min(N, n)
-    jobs = [(n, N, first) for first in range(N)]
-    return frozenset().union(*_fan_out(_oracle_slice, jobs, workers))
+    return frozenset(_least_alphabets(n, N, workers))
 
 
 def forbidden(n: int, N: int, workers: int = 1) -> frozenset:
     """Patterns of length n never realized over N symbols."""
-    allowed = oracle_allowed(n, N, workers=workers)
-    return frozenset(
-        pi for pi in _all_permutations(range(1, n + 1)) if pi not in allowed
-    )
+    return frozenset(_all_permutations(range(1, n + 1))) - oracle_allowed(n, N, workers=workers)
 
 
 def minimal_forbidden(n: int, N: int, workers: int = 1) -> frozenset:

@@ -235,14 +235,16 @@ def pat(w: EventuallyPeriodicWord, n: int):
 def _pattern(pre, per, n: int):
     """pat of the word pre . per^inf, for any preperiod and nonempty period.
 
-    pre and per are both tuples or both bytes, canonical or not. The word
-    is unrolled once and suffix i is keyed by the window of its first
-    |pre| + |per| symbols. That width decides every comparison exactly:
-    past its first |pre| symbols every suffix lies in the periodic part and
-    is |per|-periodic, so two suffixes agreeing on |pre| + |per| symbols
-    agree on a whole period beyond |pre|, hence everywhere.
+    pre and per are both tuples or both bytes, canonical or not. Suffix i
+    is keyed by its first |pre| + |per| symbols, which decide every
+    comparison: past its first |pre| symbols a suffix is |per|-periodic, so
+    two suffixes agreeing that far agree on a whole period beyond |pre|,
+    hence everywhere. Suffixes |pre| + 1 and |pre| + |per| + 1 are both
+    per^inf, so any n past that width ties.
     """
     width = len(pre) + len(per)
+    if n > width:
+        return None
     full = pre + per * (-(-(n - 1) // len(per)) + 1)
     keys = [full[i : i + width] for i in range(n)]
     order = sorted(range(n), key=keys.__getitem__)

@@ -129,6 +129,13 @@ class TestPat:
         assert code == EXIT_OK
         assert out == "undefined\n"
 
+    def test_length_past_the_word_is_undefined(self, capsys):
+        # suffixes 2 and 3 of 01(0) are both 0^inf; no key is built
+        code, out, err = run_cli(capsys, "pat", "01(0)", "100000000000000000000")
+        assert code == EXIT_OK
+        assert out == "undefined\n"
+        assert err == ""
+
     def test_undefined_json_is_null(self, capsys):
         _, out, _ = run_cli(capsys, "pat", "--json", "(01)", "3")
         assert json.loads(out)["result"] is None
@@ -174,6 +181,11 @@ class TestPatternSets:
         code, out, _ = run_cli(capsys, "allowed", "3", "300")
         assert code == EXIT_OK
         assert len(out.splitlines()) == 6
+
+    def test_golden_allowed_six_three(self, capsys):
+        code, out, _ = run_cli(capsys, "allowed", "6", "3")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "allowed_6_3.txt").read_text()
 
     def test_json_count_detail(self, capsys):
         _, out, _ = run_cli(capsys, "allowed", "--json", "4", "2")
@@ -318,6 +330,12 @@ class TestXcheck:
             "n=4 N=2 closed=18 brute=18 oracle=18 ok",
             "xcheck: all agree",
         ]
+
+    @pytest.mark.parametrize("flags,suffix", [((), ".txt"), (("--json",), ".json")])
+    def test_golden_seven_five(self, capsys, flags, suffix):
+        code, out, _ = run_cli(capsys, "xcheck", *flags, "7", "5")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / f"xcheck_7_5{suffix}").read_text()
 
     @pytest.mark.parametrize("n_max,N_max", [("1", "1"), ("3", "1"), ("1", "3")])
     def test_rejects_empty_grid(self, capsys, n_max, N_max):

@@ -23,6 +23,7 @@ from shiftpat import (
     forbidden,
     minimal_forbidden,
     n_min,
+    n_min_marked,
     omega_census,
     oracle_allowed,
     parse_permutation,
@@ -30,7 +31,7 @@ from shiftpat import (
     reduce,
     solve_recurrence,
 )
-from shiftpat.enumeration import _alternate, _oracle_slice
+from shiftpat.enumeration import _alternate, _least_alphabets, _oracle_slice
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,16 +131,17 @@ class TestClosedForms:
                 assert len(rows) == 1, (n, N_max, rows)
 
     def test_oracle_row_stops_at_n(self, monkeypatch):
-        calls = []
-        sweep = enumeration.oracle_allowed
+        # one sweep at alphabet min(N_max, n), one job per first symbol
+        alphabets = []
+        sweep = enumeration._oracle_slice
 
-        def counted(n, N, workers=1):
-            calls.append(N)
-            return sweep(n, N, workers=workers)
+        def counted(args):
+            alphabets.append(args[1])
+            return sweep(args)
 
-        monkeypatch.setattr(enumeration, "oracle_allowed", counted)
+        monkeypatch.setattr(enumeration, "_oracle_slice", counted)
         assert count_row(5, 12, method="oracle") == count_row(5, 12)
-        assert calls == [2, 3, 4, 5]
+        assert alphabets == [5] * 5
 
     @pytest.mark.parametrize("kind", ["g", "h"])
     @pytest.mark.parametrize("method", ["brute", "oracle"])
@@ -259,6 +261,19 @@ class TestOracle:
 
     def test_parallel_merge_identical(self):
         assert oracle_allowed(6, 3, workers=2) == oracle_allowed(6, 3, workers=1)
+
+    def test_least_alphabet_is_n_min(self):
+        # per pattern, exhaustively: the fewest symbols of a family word
+        # realizing pi is N(pi), by both formulas, and a sweep over N < n
+        # symbols finds exactly the pi with N(pi) <= N
+        for n in range(2, 8):
+            expected = {pi: n_min(pi) for pi in s_n(n)}
+            assert {pi: n_min_marked(pi) for pi in s_n(n)} == expected
+            assert _least_alphabets(n, n, 1) == expected, n
+            if n <= 6:
+                for N in range(1, n):
+                    restricted = {pi: k for pi, k in expected.items() if k <= N}
+                    assert _least_alphabets(n, N, 1) == restricted, (n, N)
 
     def test_alphabets_past_the_length_add_nothing(self):
         # the word family swept over all N > n symbols, without the clamp
