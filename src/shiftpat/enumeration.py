@@ -219,12 +219,12 @@ def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> P
 
 
 def _oracle_slice(args):
-    """{pi: the fewest distinct symbols of a family word starting with first that realizes pi}."""
-    n, N, first = args
+    """{pi: the fewest distinct symbols of a realizing family word whose base starts with head}."""
+    n, N, head = args
     found = [set() for _ in range(N + 1)]
     tails = [bytes([x]) for x in {0, N - 1}]
-    for rest in product(range(N), repeat=n - 2):
-        base = bytes((first,) + rest)
+    for rest in product(range(N), repeat=n - 1 - len(head)):
+        base = bytes(head + rest)
         adds = [(tail, found[len(set(base + tail))].add) for tail in tails]
         for t in range(1, n):
             prefix = base + base[n - 1 - t :] * (n - 2)
@@ -236,18 +236,30 @@ def _oracle_slice(args):
 
 
 def _least_alphabets(n: int, N: int, workers: int) -> dict:
-    """{pi: N(pi)} for every pi with N(pi) <= N, from one sweep of the word family.
+    """{pi: N(pi)} for every pi with N(pi) <= N, from one sweep of half the word family.
 
     Patterns depend only on how symbols compare, and a family word's tail is
     its least or largest symbol, so a word with k distinct symbols relabels
     into the family over k letters, and that shifts into the family over any
     N >= k. A word has at most n symbols, so N >= n gives the map of N = n.
+
+    Complementing every symbol (s -> N-1-s) reverses every suffix comparison
+    and keeps ties, the tails {0, N-1} and the number of distinct symbols: the
+    complemented word realizes complement(pat(w)), or nothing with w, and its
+    base's head (first min(2, n-1) symbols) is h' = (N-1-x for x in h). So the
+    jobs are the heads with h <= h', one of each pair, and each pattern's
+    complement gets its least alphabet too.
     """
     N = min(N, n)
+    jobs = [(n, N, h) for h in product(range(N), repeat=min(2, n - 1))
+            if h <= tuple(N - 1 - x for x in h)]
     least = {}
-    for part in _fan_out(_oracle_slice, [(n, N, first) for first in range(N)], workers):
+    for part in _fan_out(_oracle_slice, jobs, workers):
         for pi, k in part.items():
             least[pi] = min(k, least.get(pi, k))
+    for pi, k in list(least.items()):
+        pi = tuple(n + 1 - v for v in pi)  # complement(pi), unchecked
+        least[pi] = min(k, least.get(pi, k))
     return least
 
 

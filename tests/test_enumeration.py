@@ -131,7 +131,8 @@ class TestClosedForms:
                 assert len(rows) == 1, (n, N_max, rows)
 
     def test_oracle_row_stops_at_n(self, monkeypatch):
-        # one sweep at alphabet min(N_max, n), one job per first symbol
+        # one sweep at alphabet min(N_max, n), one job per two-symbol head h
+        # with h <= its complement: ceil(5**2 / 2) = 13 heads
         alphabets = []
         sweep = enumeration._oracle_slice
 
@@ -141,7 +142,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(enumeration, "_oracle_slice", counted)
         assert count_row(5, 12, method="oracle") == count_row(5, 12)
-        assert alphabets == [5] * 5
+        assert alphabets == [5] * 13
 
     @pytest.mark.parametrize("kind", ["g", "h"])
     @pytest.mark.parametrize("method", ["brute", "oracle"])
@@ -260,7 +261,10 @@ class TestOracle:
                 previous = size
 
     def test_parallel_merge_identical(self):
-        assert oracle_allowed(6, 3, workers=2) == oracle_allowed(6, 3, workers=1)
+        # head jobs at an odd and an even alphabet, merged from two workers
+        for n, N in ((6, 3), (7, 4), (6, 5)):
+            assert oracle_allowed(n, N, workers=2) == oracle_allowed(n, N, workers=1), (n, N)
+        assert count_row(7, 5, method="oracle", workers=2) == count_row(7, 5)
 
     def test_least_alphabet_is_n_min(self):
         # per pattern, exhaustively: the fewest symbols of a family word
@@ -279,8 +283,20 @@ class TestOracle:
         # the word family swept over all N > n symbols, without the clamp
         for n in range(2, 7):
             for N in range(n + 1, n + 3):
-                swept = frozenset().union(*(_oracle_slice((n, N, first)) for first in range(N)))
+                swept = frozenset().union(*(_oracle_slice((n, N, (first,))) for first in range(N)))
                 assert swept == oracle_allowed(n, N) == oracle_allowed(n, n), (n, N)
+
+    def test_half_sweep_equals_full_family(self):
+        # per pattern: the least alphabet over every head, with no complement
+        # step, equals the half sweep plus complements; n = 2 has one-symbol
+        # heads, and an odd N has the self-complementary head (m, m)
+        for n in range(2, 8):
+            for N in range(1, 6):
+                full = {}
+                for head in product(range(N), repeat=min(2, n - 1)):
+                    for pi, k in _oracle_slice((n, N, head)).items():
+                        full[pi] = min(k, full.get(pi, k))
+                assert _least_alphabets(n, N, 1) == full, (n, N)
 
     def test_eventually_constant_words_add_nothing(self):
         # formula-free check: short one-tailed binary words stay inside
