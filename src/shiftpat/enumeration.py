@@ -95,7 +95,8 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
     methods: closed (the series b_2 .. b_{N_max} by the alternating binomial
     sum), recurrence (that series unrolled; it is linear, so a = g + h), and
     for kind "a" only brute (the marked-cycle N over S_n) and oracle (each
-    pattern's least alphabet, from one word-family sweep).
+    pattern's least alphabet, from one sweep of the family words on exactly
+    k symbols, k up to min(N_max, n)).
 
     >>> count_row(6, 5)
     (126, 402, 186, 6)
@@ -219,47 +220,57 @@ def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> P
 
 
 def _oracle_slice(args):
-    """{pi: the fewest distinct symbols of a realizing family word whose base starts with head}."""
-    n, N, head = args
-    found = [set() for _ in range(N + 1)]
-    tails = [bytes([x]) for x in {0, N - 1}]
-    for rest in product(range(N), repeat=n - 1 - len(head)):
+    """The patterns of the family words on exactly the symbols 0..k-1 whose base starts with head.
+
+    A family word is u p^(n-1) x^inf: a base b = u p in {0..k-1}^(n-1), cut
+    at every t = |p| in 1..n-1, and a tail x in {0, k-1}. Only the words with
+    set(b) | {x} = {0..k-1} are swept; the rest relabel into a smaller k.
+    """
+    n, k, head = args
+    found = set()
+    symbols = frozenset(range(k))
+    tails = [(x, bytes([x])) for x in {0, k - 1}]
+    for rest in product(range(k), repeat=n - 1 - len(head)):
         base = bytes(head + rest)
-        adds = [(tail, found[len(set(base + tail))].add) for tail in tails]
+        missing = symbols.difference(base)
+        word_tails = [tail for x, tail in tails if missing <= {x}]
+        if not word_tails:
+            continue
         for t in range(1, n):
             prefix = base + base[n - 1 - t :] * (n - 2)
-            for tail, add in adds:
+            for tail in word_tails:
                 p = _pattern(prefix, tail, n)
                 if p is not None:
-                    add(p)
-    return {pi: k for k in range(N, 0, -1) for pi in found[k]}  # the least k is written last
+                    found.add(p)
+    return found
 
 
 def _least_alphabets(n: int, N: int, workers: int) -> dict:
-    """{pi: N(pi)} for every pi with N(pi) <= N, from one sweep of half the word family.
+    """{pi: N(pi)} for every pi with N(pi) <= N, from one sweep of the normalized family words.
 
     Patterns depend only on how symbols compare, and a family word's tail is
-    its least or largest symbol, so a word with k distinct symbols relabels
-    into the family over k letters, and that shifts into the family over any
-    N >= k. A word has at most n symbols, so N >= n gives the map of N = n.
+    its least or largest symbol, so a word with k distinct symbols relabels,
+    order-preservingly, into a family word on exactly the symbols 0..k-1, and
+    that shifts back into the family over any N >= k. So N(pi) is the least k
+    whose words realize pi, and k runs to min(N, n): a word has at most n
+    symbols.
 
-    Complementing every symbol (s -> N-1-s) reverses every suffix comparison
-    and keeps ties, the tails {0, N-1} and the number of distinct symbols: the
+    Complementing every symbol within k (s -> k-1-s) reverses every suffix
+    comparison and keeps ties, the symbols 0..k-1 and the tails {0, k-1}: the
     complemented word realizes complement(pat(w)), or nothing with w, and its
-    base's head (first min(2, n-1) symbols) is h' = (N-1-x for x in h). So the
-    jobs are the heads with h <= h', one of each pair, and each pattern's
-    complement gets its least alphabet too.
+    base's head (first min(2, n-1) symbols) is h' = (k-1-x for x in h). So
+    the jobs (k, h) are the heads with h <= h', one of each pair, in
+    increasing k, and a pattern and its complement take the k of the first
+    job that finds either.
     """
-    N = min(N, n)
-    jobs = [(n, N, h) for h in product(range(N), repeat=min(2, n - 1))
-            if h <= tuple(N - 1 - x for x in h)]
+    jobs = [(n, k, h) for k in range(1, min(N, n) + 1)
+            for h in product(range(k), repeat=min(2, n - 1))
+            if h <= tuple(k - 1 - x for x in h)]
     least = {}
-    for part in _fan_out(_oracle_slice, jobs, workers):
-        for pi, k in part.items():
-            least[pi] = min(k, least.get(pi, k))
-    for pi, k in list(least.items()):
-        pi = tuple(n + 1 - v for v in pi)  # complement(pi), unchecked
-        least[pi] = min(k, least.get(pi, k))
+    for (_, k, _), part in zip(jobs, _fan_out(_oracle_slice, jobs, workers)):
+        for pi in part:
+            if pi not in least:
+                least[pi] = least[tuple(n + 1 - v for v in pi)] = k  # complement(pi), unchecked
     return least
 
 
@@ -267,9 +278,10 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     """Every pattern of length n realized over N symbols, by direct search.
 
     Runs pattern extraction over the word family u p^(n-1) x^inf with
-    |u| + |p| = n - 1 and x in {0, N-1}, which realizes every allowed
-    pattern. Uses only lexicographic suffix comparison; the minimal-
-    alphabet formula is never consulted.
+    |u| + |p| = n - 1, which realizes every allowed pattern, relabelled onto
+    exactly the symbols 0..k-1 for each k <= min(N, n), with x in {0, k-1}.
+    Uses only lexicographic suffix comparison; the minimal-alphabet formula
+    is never consulted.
     """
     if n < 2 or N < 1:
         raise ValueError("need n >= 2 and N >= 1")

@@ -19,7 +19,6 @@ __all__ = [
     "eulerian_row",
     "contains_consecutive",
     "complement",
-    "reverse",
     "reverse_complement",
     "inverse",
     "cycle_decomposition",
@@ -120,11 +119,6 @@ def complement(pi) -> tuple:
     pi = check_permutation(pi)
     n = len(pi)
     return tuple(n + 1 - v for v in pi)
-
-
-def reverse(pi) -> tuple:
-    pi = check_permutation(pi)
-    return tuple(reversed(pi))
 
 
 def reverse_complement(pi) -> tuple:

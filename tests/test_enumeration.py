@@ -31,7 +31,8 @@ from shiftpat import (
     reduce,
     solve_recurrence,
 )
-from shiftpat.enumeration import _alternate, _least_alphabets, _oracle_slice
+from shiftpat.enumeration import _alternate, _least_alphabets
+from shiftpat.words import _pattern
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +63,24 @@ MINIMAL_FORBIDDEN_6_4 = {
 
 def s_n(n):
     return permutations(range(1, n + 1))
+
+
+def family_least(n, N):
+    """{pi: fewest distinct symbols of a realizing word}, over the whole family on N symbols.
+
+    The reference for the oracle's sweep: every base in {0..N-1}^(n-1), cut
+    into u p at every |p| = t, and both tails x in {0, N-1} of the words
+    u p^(n-1) x^inf, with no relabelling, no complement step and no clamp.
+    """
+    least = {}
+    for base in product(range(N), repeat=n - 1):
+        for x in {0, N - 1}:
+            k = len(set(base) | {x})
+            for t in range(1, n):
+                pi = _pattern(base + base[n - 1 - t :] * (n - 2), (x,), n)
+                if pi is not None and k < least.get(pi, n + 1):
+                    least[pi] = k
+    return least
 
 
 class TestClosedForms:
@@ -131,8 +150,8 @@ class TestClosedForms:
                 assert len(rows) == 1, (n, N_max, rows)
 
     def test_oracle_row_stops_at_n(self, monkeypatch):
-        # one sweep at alphabet min(N_max, n), one job per two-symbol head h
-        # with h <= its complement: ceil(5**2 / 2) = 13 heads
+        # one sweep over the alphabets k = 1 .. min(N_max, n), one job per
+        # two-symbol head h with h <= its complement within k: ceil(k**2 / 2)
         alphabets = []
         sweep = enumeration._oracle_slice
 
@@ -142,7 +161,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(enumeration, "_oracle_slice", counted)
         assert count_row(5, 12, method="oracle") == count_row(5, 12)
-        assert alphabets == [5] * 13
+        assert alphabets == [1] + [2] * 2 + [3] * 5 + [4] * 8 + [5] * 13
 
     @pytest.mark.parametrize("kind", ["g", "h"])
     @pytest.mark.parametrize("method", ["brute", "oracle"])
@@ -280,23 +299,40 @@ class TestOracle:
                     assert _least_alphabets(n, N, 1) == restricted, (n, N)
 
     def test_alphabets_past_the_length_add_nothing(self):
-        # the word family swept over all N > n symbols, without the clamp
+        # the whole family over N > n symbols, without the clamp
         for n in range(2, 7):
             for N in range(n + 1, n + 3):
-                swept = frozenset().union(*(_oracle_slice((n, N, (first,))) for first in range(N)))
-                assert swept == oracle_allowed(n, N) == oracle_allowed(n, n), (n, N)
+                assert _least_alphabets(n, N, 1) == family_least(n, N), (n, N)
+                assert oracle_allowed(n, N) == oracle_allowed(n, n), (n, N)
 
     def test_half_sweep_equals_full_family(self):
-        # per pattern: the least alphabet over every head, with no complement
-        # step, equals the half sweep plus complements; n = 2 has one-symbol
-        # heads, and an odd N has the self-complementary head (m, m)
+        # per pattern, against every word of the family over N symbols with
+        # no relabelling and no complement step; n = 2 has one-symbol heads,
+        # and an odd k has the self-complementary head (m, m)
         for n in range(2, 8):
             for N in range(1, 6):
-                full = {}
-                for head in product(range(N), repeat=min(2, n - 1)):
-                    for pi, k in _oracle_slice((n, N, head)).items():
-                        full[pi] = min(k, full.get(pi, k))
-                assert _least_alphabets(n, N, 1) == full, (n, N)
+                assert _least_alphabets(n, N, 1) == family_least(n, N), (n, N)
+
+    def test_each_job_sweeps_exactly_its_symbols(self, monkeypatch):
+        # a word with fewer than k symbols repeats a smaller job; skipping it
+        # changes no result, so only the words each job passes can show it
+        words_by_job = []
+        sweep, kernel = enumeration._oracle_slice, enumeration._pattern
+
+        def job(args):
+            words_by_job.append((args[1], set()))
+            return sweep(args)
+
+        def recorded(pre, per, n):
+            words_by_job[-1][1].add(pre + per)
+            return kernel(pre, per, n)
+
+        monkeypatch.setattr(enumeration, "_oracle_slice", job)
+        monkeypatch.setattr(enumeration, "_pattern", recorded)
+        _least_alphabets(6, 4, 1)
+        assert [k for k, _ in words_by_job] == [1] + [2] * 2 + [3] * 5 + [4] * 8
+        for k, seen in words_by_job:
+            assert seen and all(set(w) == set(range(k)) for w in seen), k
 
     def test_eventually_constant_words_add_nothing(self):
         # formula-free check: short one-tailed binary words stay inside
