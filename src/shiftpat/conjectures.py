@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
-from operator import gt
+from math import factorial, gcd
 
 from .enumeration import DEFAULT_BOUND, check_bound, count_table
-from .permutations import descent_set, n_cycles, theta_inv
+from .permutations import descent_set, theta_inv
+from .words import _psi_terms
 
 __all__ = [
     "DescentDistribution",
@@ -41,6 +41,7 @@ class DescentDistribution:
 
 
 def descent_distribution(elements) -> DescentDistribution:
+    """The descent-set distribution of the given permutations, each read once."""
     return _distribution(Counter(descent_set(e) for e in elements))
 
 
@@ -57,52 +58,47 @@ def _mask_set(mask: int) -> frozenset:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _t0_descent_sets(n: int) -> Counter:
-    """Descent sets of the n! zero-marked cycles, as bitmasks, from one sweep of the n-cycles.
-
-    Each of the (n-1)! cycles has its descent set D read once; its n
-    marks then cost O(1) each. With 0 in slot p, position p-1 is a
-    descent (sigma_{p-1} > 0) and position p is not (0 < sigma_{p+1});
-    every other position keeps its cycle descent. So the mark at p gives
-    D minus {p-1, p}, plus p-1 when p > 1. Gessel and Reutenauer (JCTA
-    64, 1993) count the cycles themselves by descent set.
-    """
-    cycle_sets = Counter()
-    for sigma in n_cycles(n):
-        cycle_sets[tuple(map(gt, sigma, sigma[1:]))] += 1
-    # bit(i) for position i, 0 outside 1..n-1
-    bit = [0] + [1 << (i - 1) for i in range(1, n)] + [0]
-    out = Counter()
-    for descents, count in cycle_sets.items():
-        D = sum(1 << i for i, is_descent in enumerate(descents) if is_descent)
-        for p in range(1, n + 1):
-            out[(D & ~bit[p]) | bit[p - 1]] += count
+def _multinomial(gaps) -> int:
+    """alpha_n(T) = n! / (g_1! g_2! ...), the permutations of S_n with descent set inside T."""
+    out = factorial(sum(gaps))
+    for g in gaps:
+        out //= factorial(g)
     return out
 
 
-def _sn_descent_sets(n: int) -> dict:
-    """beta_n(S), the permutations of S_n with descent set exactly S, for each S.
+def _necklaces(gaps) -> int:
+    """The n-cycles with descent set inside T: primitive necklaces of content gaps.
 
-    S runs over the subsets of [n-1]. alpha_n(T), the count with descent
-    set inside T = {t_1 < ... < t_k}, is the multinomial
-    n! / (t_1! (t_2 - t_1)! ... (n - t_k)!), and beta_n(S) is the sum of
-    (-1)^|S - T| alpha_n(T) over the subsets T of S (Stanley, EC1,
-    section 1.4). One subset Moebius transform over the 2^(n-1) bitmasks
-    inverts it; no permutation is built.
+    (1/n) sum over d | gcd of mu(d) (n/d)! / prod (g_i/d)! (Gessel and
+    Reutenauer, JCTA 64, 1993). Content (2, 2) has aabb; abab is a square.
+
+    >>> _necklaces((2, 2)), _necklaces((1, 1, 1)), _necklaces((3,))
+    (1, 2, 0)
+    """
+    g = gcd(*gaps)
+    terms = (mu * _multinomial([c * e // g for c in gaps]) for mu, e in _psi_terms(g))
+    return sum(terms) // sum(gaps)
+
+
+def _by_exact_set(n: int, at_most) -> dict:
+    """{descent set S: count}, from at_most(gaps), the count with descent set inside T.
+
+    T = {t_1 < ... < t_k} in [n-1] has gaps (t_1, t_2 - t_1, ..., n - t_k).
+    The count at S is the sum of (-1)^|S - T| at_most(T) over T in S
+    (Stanley, EC1, section 1.4), one subset Moebius transform over the
+    2^(n-1) bitmasks. Sets counted 0 are left out.
     """
     size = 1 << (n - 1)
-    beta = []
-    for mask in range(size):
-        alpha, last = factorial(n), 0
-        for cut in [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]:
-            alpha //= factorial(cut - last)
-            last = cut
-        beta.append(alpha)
+    sets = [_mask_set(mask) for mask in range(size)]
+    exact = []
+    for T in sets:
+        cuts = [0, *sorted(T), n]
+        exact.append(at_most([b - a for a, b in zip(cuts, cuts[1:])]))
     for i in range(n - 1):
         for mask in range(size):
             if mask >> i & 1:
-                beta[mask] -= beta[mask ^ (1 << i)]
-    return dict(enumerate(beta))
+                exact[mask] -= exact[mask ^ (1 << i)]
+    return {S: count for S, count in zip(sets, exact) if count}
 
 
 @dataclass
@@ -118,19 +114,23 @@ def check_conjecture1(n: int, bound: int = DEFAULT_BOUND) -> Conjecture1Report:
 
     The comparison is by full descent SET, not just by count. The cycles
     are the marked cycles as stored, with 0 in the erased slot; that 0
-    takes part in the descent count instead of being skipped. The cycle
-    side sweeps the n-cycles once (Elizalde, Descent sets of cyclic
-    permutations, Adv. Appl. Math. 47, 2011, studies this
-    equidistribution); the S_n side is the classical beta_n(S) and reads
-    no marked cycle.
+    takes part in the descent count instead of being skipped. Both sides
+    come from counts by descent set, with no permutation built: the
+    n-cycles from necklace counts, each mark then moved into its cycle's
+    set, and S_n from the classical beta_n(S) (Elizalde, Descent sets of
+    cyclic permutations, Adv. Appl. Math. 47, 2011, studies this
+    equidistribution).
     """
     check_bound(n, bound)
     if n < 1:
         raise ValueError("need n >= 1")
-    t0, sn = (
-        _distribution({_mask_set(mask): count for mask, count in side.items()})
-        for side in (_t0_descent_sets(n), _sn_descent_sets(n))
-    )
+    # With 0 in slot p, position p-1 is a descent (sigma_{p-1} > 0) and p is not
+    # (0 < sigma_{p+1}); the other positions keep the cycle's set D, so each mark is O(1).
+    marked = Counter()
+    for D, count in _by_exact_set(n, _necklaces).items():
+        for p in range(1, n + 1):
+            marked[(D | {p - 1}) - {0, p}] += count
+    t0, sn = _distribution(marked), _distribution(_by_exact_set(n, _multinomial))
     return Conjecture1Report(
         n=n, matches=t0.by_set == sn.by_set, t0_distribution=t0, sn_distribution=sn
     )

@@ -285,6 +285,9 @@ class TestConjectureCommands:
     def test_conjecture1_bound_override(self, capsys):
         code, _, _ = run_cli(capsys, "conjecture1", "4", "--bound", "4")
         assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, "conjecture1", "12", "--bound", "12")
+        assert code == EXIT_OK
+        assert out == "conjecture1 n=12: verified (descent-set distributions compared)\n"
 
     def test_conjecture1_refuted_exit(self, capsys, monkeypatch):
         dist = DescentDistribution(by_set={frozenset(): 1}, by_count={0: 1})

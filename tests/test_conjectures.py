@@ -18,9 +18,11 @@ from shiftpat import (
     marked_des,
     marked_eps,
     marked_rc,
+    n_cycles,
     phi,
     phi_inv,
 )
+from shiftpat.conjectures import _by_exact_set, _necklaces
 
 
 def e_n(n):
@@ -68,10 +70,12 @@ class TestConjecture1:
         }
 
     def test_distributions_are_full_set_maps(self):
-        report = check_conjecture1(4)
-        assert report.t0_distribution.size() == 24
-        assert report.sn_distribution.size() == 24
-        assert report.t0_distribution.by_set == report.sn_distribution.by_set
+        # 12 and 16 lie past the default bound, out of reach of a sweep of S_n.
+        for n in (4, 12, 16):
+            report = check_conjecture1(n, bound=n)
+            assert report.t0_distribution.size() == math.factorial(n), n
+            assert report.sn_distribution.size() == math.factorial(n), n
+            assert report.t0_distribution.by_set == report.sn_distribution.by_set, n
 
     def test_bound(self):
         with pytest.raises(BoundExceededError, match="exceeds the sweep bound"):
@@ -89,6 +93,15 @@ class TestConjecture1:
                 want = descent_distribution(elements)
                 assert got.by_set == want.by_set, n
                 assert list(got.by_count.items()) == list(want.by_count.items()), n
+
+    def test_cycle_counts_match_cycle_sweep(self):
+        # The necklace counts against the exhaustive (n-1)! sweep of the n-cycles.
+        for n in range(1, 10):
+            want = Counter(
+                frozenset(i + 1 for i in range(n - 1) if sigma[i] > sigma[i + 1])
+                for sigma in n_cycles(n)
+            )
+            assert _by_exact_set(n, _necklaces) == want, n
 
     def test_descent_distribution_helper(self):
         dist = descent_distribution(permutations(range(1, 4)))
