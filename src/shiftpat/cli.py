@@ -6,6 +6,13 @@ object {"input": ..., "result": ..., "details": ...} with stable key
 order. Exit codes: 0 success or verified, 1 usage error, 2 malformed
 permutation or word, 3 refuted or mismatching cross-check, 4 sweep
 bound exceeded.
+
+Stdout is a byte contract: tests and the benchmark compare its digests,
+so it has one writer. A handler never prints. It returns its input,
+result, details and text lines, and `main` alone writes either the text
+lines or the JSON object built from the other three. A result of False
+is a refutation and exits 3; a ValueError from a handler prints one
+`error:` line and exits 2, 4 or 1 by its kind.
 """
 
 from __future__ import annotations
@@ -43,48 +50,33 @@ class _MalformedError(ValueError):
     """A permutation or word literal that does not parse."""
 
 
-def _perm(text: str):
+def _literal(parse, text: str):
+    """parse(text), with a literal that does not parse reported as malformed."""
     try:
-        return parse_permutation(text)
+        return parse(text)
     except ValueError as exc:
         raise _MalformedError(str(exc)) from None
 
 
-def _word(text: str) -> EventuallyPeriodicWord:
-    try:
-        return EventuallyPeriodicWord.from_string(text)
-    except ValueError as exc:
-        raise _MalformedError(str(exc)) from None
+def _perm_set(given, perms) -> tuple:
+    """The output of a command whose result is a set of permutations, sorted."""
+    ordered = sorted(perms)
+    lines = [format_permutation(p) for p in ordered]
+    return given, [list(p) for p in ordered], {"count": len(perms)}, lines
 
 
-def _emit(args, data, lines) -> None:
-    if args.json:
-        print(json.dumps(data))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _perm_lines(perms) -> list:
-    return [format_permutation(p) for p in sorted(perms)]
-
-
-def _cmd_nmin(args) -> int:
-    pi = _perm(args.perm)
+def _cmd_nmin(args) -> tuple:
+    pi = _literal(parse_permutation, args.perm)
     report = explain_nmin(pi)
     strict = sorted(report.a_set)
     theta = format_marked(report.theta)
-    data = {
-        "input": {"perm": list(pi)},
-        "result": report.n_min,
-        "details": {
-            "A": strict,
-            "delta": report.delta,
-            "delta_case": report.delta_case,
-            "theta": theta,
-            "des": report.des,
-            "eps": report.eps,
-        },
+    details = {
+        "A": strict,
+        "delta": report.delta,
+        "delta_case": report.delta_case,
+        "theta": theta,
+        "des": report.des,
+        "eps": report.eps,
     }
     lines = [
         f"N={report.n_min}",
@@ -93,106 +85,70 @@ def _cmd_nmin(args) -> int:
         f"theta={theta}",
         f"des={report.des} eps={report.eps}",
     ]
-    _emit(args, data, lines)
-    return EXIT_OK
+    return {"perm": list(pi)}, report.n_min, details, lines
 
 
-def _cmd_witness(args) -> int:
-    pi = _perm(args.perm)
+def _cmd_witness(args) -> tuple:
+    pi = _literal(parse_permutation, args.perm)
     spec = witness(pi, variant=args.variant, m=args.m)
     symbols = set(spec.word.pre) | set(spec.word.per)
     good = realize_check(pi, spec.word) and len(symbols) == spec.word.alphabet_size
-    data = {
-        "input": {"perm": list(pi), "variant": args.variant, "m": args.m},
-        "result": spec.word.to_string(),
-        "details": {"variant": spec.variant, "k": spec.k, "m": spec.m, "check": good},
-    }
     lines = [
         f"word={spec.word.to_string()}",
         f"variant={spec.variant} k={spec.k} m={spec.m}",
         f"check={'ok' if good else 'FAIL'}",
     ]
-    _emit(args, data, lines)
-    return EXIT_OK
+    return (
+        {"perm": list(pi), "variant": args.variant, "m": args.m},
+        spec.word.to_string(),
+        {"variant": spec.variant, "k": spec.k, "m": spec.m, "check": good},
+        lines,
+    )
 
 
-def _cmd_pat(args) -> int:
-    w = _word(args.word)
-    result = pat(w, args.n)
-    data = {
-        "input": {"word": args.word, "n": args.n},
-        "result": list(result) if result else None,
-        "details": {},
-    }
-    _emit(args, data, [format_permutation(result) if result else "undefined"])
-    return EXIT_OK
+def _cmd_pat(args) -> tuple:
+    result = pat(_literal(EventuallyPeriodicWord.from_string, args.word), args.n)
+    return (
+        {"word": args.word, "n": args.n},
+        list(result) if result else None,
+        {},
+        [format_permutation(result) if result else "undefined"],
+    )
 
 
-def _pattern_set_command(compute):
-    def handler(args) -> int:
-        perms = compute(args.n, args.N, workers=args.threads)
-        data = {
-            "input": {"n": args.n, "N": args.N},
-            "result": [list(p) for p in sorted(perms)],
-            "details": {"count": len(perms)},
-        }
-        _emit(args, data, _perm_lines(perms))
-        return EXIT_OK
-
-    return handler
+def _cmd_pattern_set(args) -> tuple:
+    perms = args.compute(args.n, args.N, workers=args.threads)
+    return _perm_set({"n": args.n, "N": args.N}, perms)
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> tuple:
     value = count_a(args.n, args.N, method=args.method, workers=args.threads)
-    data = {
-        "input": {"n": args.n, "N": args.N},
-        "result": value,
-        "details": {"method": args.method},
-    }
-    _emit(args, data, [str(value)])
-    return EXIT_OK
+    return {"n": args.n, "N": args.N}, value, {"method": args.method}, [str(value)]
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple:
     rows = list(count_table(args.n_max))
-    data = {
-        "input": {"n_max": args.n_max},
-        "result": [[n, N, a] for n, N, a in rows],
-        "details": {},
-    }
     lines = ["n\tN\ta_nN"] + [f"{n}\t{N}\t{a}" for n, N, a in rows]
-    _emit(args, data, lines)
-    return EXIT_OK
+    return {"n_max": args.n_max}, [[n, N, a] for n, N, a in rows], {}, lines
 
 
-def _cmd_sextet(args) -> int:
-    perms = extremal_sextet(args.n)
-    data = {
-        "input": {"n": args.n},
-        "result": [list(p) for p in sorted(perms)],
-        "details": {"count": len(perms)},
-    }
-    _emit(args, data, _perm_lines(perms))
-    return EXIT_OK
+def _cmd_sextet(args) -> tuple:
+    return _perm_set({"n": args.n}, extremal_sextet(args.n))
 
 
-def _cmd_conjecture1(args) -> int:
+def _cmd_conjecture1(args) -> tuple:
     report = check_conjecture1(args.n, bound=args.bound)
     verdict = "verified" if report.matches else "REFUTED"
-    data = {
-        "input": {"n": args.n},
-        "result": report.matches,
-        "details": {
-            "population": report.sn_distribution.size(),
-            "distinct_descent_sets": len(report.sn_distribution.by_set),
-            "by_count": {str(k): v for k, v in report.t0_distribution.by_count.items()},
-        },
+    details = {
+        "population": report.sn_distribution.size(),
+        "distinct_descent_sets": len(report.sn_distribution.by_set),
+        "by_count": {str(k): v for k, v in report.t0_distribution.by_count.items()},
     }
-    _emit(args, data, [f"conjecture1 n={args.n}: {verdict} (descent-set distributions compared)"])
-    return EXIT_OK if report.matches else EXIT_REFUTED
+    lines = [f"conjecture1 n={args.n}: {verdict} (descent-set distributions compared)"]
+    return {"n": args.n}, report.matches, details, lines
 
 
-def _cmd_conjecture2(args) -> int:
+def _cmd_conjecture2(args) -> tuple:
     report = check_conjecture2(args.n_max)
     lines = []
     cells = []
@@ -214,12 +170,10 @@ def _cmd_conjecture2(args) -> int:
         )
     ok = report.verified()
     lines.append(f"conjecture2 up to n={args.n_max}: {'verified' if ok else 'REFUTED'}")
-    data = {"input": {"n_max": args.n_max}, "result": ok, "details": {"cells": cells}}
-    _emit(args, data, lines)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return {"n_max": args.n_max}, ok, {"cells": cells}, lines
 
 
-def _cmd_xcheck(args) -> int:
+def _cmd_xcheck(args) -> tuple:
     if args.n_max < 2 or args.N_max < 2:
         raise ValueError("need n_max >= 2 and N_max >= 2")
     check_bound(args.n_max)
@@ -237,13 +191,7 @@ def _cmd_xcheck(args) -> int:
             cells.append({"n": n, "N": N, "closed": closed, "brute": b, "oracle": o, "ok": good})
     all_ok = all(cell["ok"] for cell in cells)
     lines.append("xcheck: " + ("all agree" if all_ok else "MISMATCH FOUND"))
-    data = {
-        "input": {"n_max": args.n_max, "N_max": args.N_max},
-        "result": all_ok,
-        "details": {"cells": cells},
-    }
-    _emit(args, data, lines)
-    return EXIT_OK if all_ok else EXIT_REFUTED
+    return {"n_max": args.n_max, "N_max": args.N_max}, all_ok, {"cells": cells}, lines
 
 
 def _worker_count(text: str) -> int:
@@ -282,22 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(handler=_cmd_pat)
 
-    p = sub.add_parser("allowed", parents=[common], help="patterns realized over N symbols")
-    p.add_argument("n", type=int)
-    p.add_argument("N", type=int)
-    p.set_defaults(handler=_pattern_set_command(oracle_allowed))
-
-    p = sub.add_parser("forbidden", parents=[common], help="patterns never realized")
-    p.add_argument("n", type=int)
-    p.add_argument("N", type=int)
-    p.set_defaults(handler=_pattern_set_command(forbidden))
-
-    p = sub.add_parser(
-        "minimal-forbidden", parents=[common], help="forbidden patterns minimal by containment"
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("N", type=int)
-    p.set_defaults(handler=_pattern_set_command(minimal_forbidden))
+    for name, compute, text in (
+        ("allowed", oracle_allowed, "patterns realized over N symbols"),
+        ("forbidden", forbidden, "patterns never realized"),
+        ("minimal-forbidden", minimal_forbidden, "forbidden patterns minimal by containment"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("n", type=int)
+        p.add_argument("N", type=int)
+        p.set_defaults(handler=_cmd_pattern_set, compute=compute)
 
     p = sub.add_parser("count", parents=[common], help="number of patterns with n_min = N")
     p.add_argument("n", type=int)
@@ -344,16 +285,18 @@ def main(argv=None) -> int:
             return EXIT_OK
         return EXIT_USAGE if code == 2 else int(code)
     try:
-        return args.handler(args)
-    except _MalformedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except BoundExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+        given, result, details, lines = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, _MalformedError):
+            return EXIT_MALFORMED
+        return EXIT_BOUND if isinstance(exc, BoundExceededError) else EXIT_USAGE
+    if args.json:
+        print(json.dumps({"input": given, "result": result, "details": details}))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_REFUTED if result is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -80,25 +80,24 @@ def _necklaces(gaps) -> int:
     return sum(terms) // sum(gaps)
 
 
-def _by_exact_set(n: int, at_most) -> dict:
-    """{descent set S: count}, from at_most(gaps), the count with descent set inside T.
+def _by_exact_set(n: int, at_most) -> list:
+    """Counts by exact descent set, a list indexed by mask (position i is bit i-1).
 
-    T = {t_1 < ... < t_k} in [n-1] has gaps (t_1, t_2 - t_1, ..., n - t_k).
-    The count at S is the sum of (-1)^|S - T| at_most(T) over T in S
-    (Stanley, EC1, section 1.4), one subset Moebius transform over the
-    2^(n-1) bitmasks. Sets counted 0 are left out.
+    at_most(gaps) is the count with descent set inside T = {t_1 < ... < t_k}
+    in [n-1], whose gaps are (t_1, t_2 - t_1, ..., n - t_k). The count at S
+    is the sum of (-1)^|S - T| at_most(T) over T in S (Stanley, EC1,
+    section 1.4), one subset Moebius transform over the 2^(n-1) bitmasks.
     """
     size = 1 << (n - 1)
-    sets = [_mask_set(mask) for mask in range(size)]
     exact = []
-    for T in sets:
-        cuts = [0, *sorted(T), n]
+    for mask in range(size):
+        cuts = [0, *(i + 1 for i in range(n - 1) if mask >> i & 1), n]
         exact.append(at_most([b - a for a, b in zip(cuts, cuts[1:])]))
     for i in range(n - 1):
         for mask in range(size):
             if mask >> i & 1:
                 exact[mask] -= exact[mask ^ (1 << i)]
-    return {S: count for S, count in zip(sets, exact) if count}
+    return exact
 
 
 @dataclass
@@ -125,14 +124,24 @@ def check_conjecture1(n: int, bound: int = DEFAULT_BOUND) -> Conjecture1Report:
     if n < 1:
         raise ValueError("need n >= 1")
     # With 0 in slot p, position p-1 is a descent (sigma_{p-1} > 0) and p is not
-    # (0 < sigma_{p+1}); the other positions keep the cycle's set D, so each mark is O(1).
-    marked = Counter()
-    for D, count in _by_exact_set(n, _necklaces).items():
-        for p in range(1, n + 1):
-            marked[(D | {p - 1}) - {0, p}] += count
-    t0, sn = _distribution(marked), _distribution(_by_exact_set(n, _multinomial))
+    # (0 < sigma_{p+1}); the other positions keep the cycle's set D, so each mark is
+    # O(1): set bit p-2 for position p-1 when p > 1, then clear bit p-1 for p.
+    sn_counts = _by_exact_set(n, _multinomial)
+    t0_counts = [0] * len(sn_counts)
+    for D, count in enumerate(_by_exact_set(n, _necklaces)):
+        if count:
+            for p in range(1, n + 1):
+                below = 1 << (p - 2) if p > 1 else 0
+                t0_counts[(D | below) & ~(1 << (p - 1))] += count
+    # Each mask counted on either side is decoded once; sets counted 0 are left out.
+    pairs = enumerate(zip(t0_counts, sn_counts))
+    sets = {mask: _mask_set(mask) for mask, pair in pairs if any(pair)}
+    t0, sn = (
+        _distribution({S: counts[mask] for mask, S in sets.items() if counts[mask]})
+        for counts in (t0_counts, sn_counts)
+    )
     return Conjecture1Report(
-        n=n, matches=t0.by_set == sn.by_set, t0_distribution=t0, sn_distribution=sn
+        n=n, matches=t0_counts == sn_counts, t0_distribution=t0, sn_distribution=sn
     )
 
 

@@ -58,11 +58,26 @@ def reduce(values) -> tuple:
     >>> reduce([10, 20])
     (1, 2)
     """
-    vals = tuple(values)
-    if len(set(vals)) != len(vals):
+    ranks = _rank(tuple(values))
+    if ranks is None:
         raise ValueError("reduction undefined: repeated value")
-    rank = {v: r for r, v in enumerate(sorted(vals), start=1)}
-    return tuple(rank[v] for v in vals)
+    return ranks
+
+
+_NO_KEY = object()
+
+
+def _rank(keys):
+    """The rank of each key, smallest 1, or None when two keys tie."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(keys)
+    prev = _NO_KEY
+    for r, idx in enumerate(order, start=1):
+        if keys[idx] == prev:
+            return None
+        prev = keys[idx]
+        ranks[idx] = r
+    return tuple(ranks)
 
 
 def descent_set(seq) -> frozenset:

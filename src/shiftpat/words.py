@@ -12,6 +12,8 @@ import re
 from functools import cache
 from math import lcm
 
+from .permutations import _rank
+
 LT, EQ, GT = -1, 0, 1
 
 __all__ = [
@@ -246,16 +248,7 @@ def _pattern(pre, per, n: int):
     if n > width:
         return None
     full = pre + per * (-(-(n - 1) // len(per)) + 1)
-    keys = [full[i : i + width] for i in range(n)]
-    order = sorted(range(n), key=keys.__getitem__)
-    ranks = [0] * n
-    prev = None
-    for r, idx in enumerate(order, start=1):
-        if keys[idx] == prev:
-            return None
-        prev = keys[idx]
-        ranks[idx] = r
-    return tuple(ranks)
+    return _rank([full[i : i + width] for i in range(n)])
 
 
 def word_complement(w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:

@@ -1,6 +1,8 @@
 """End-to-end checks of the command line: exact text, JSON shape, exit codes."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,10 +19,12 @@ from shiftpat.conjectures import (
     DescentDistribution,
     DivisibilityCell,
 )
-from shiftpat.permutations import format_permutation
+from shiftpat.permutations import eulerian_row, format_permutation
 from shiftpat.realization import witness
 
 GOLDEN = Path(__file__).parent / "golden"
+# The SHA-256 of the stdout of each command the benchmark runs, at one worker.
+DIGESTS = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -270,12 +274,30 @@ class TestSextet:
             "4 1 3 2",
         ]
 
+    def test_json(self, capsys):
+        code, out, _ = run_cli(capsys, "sextet", "5", "--json")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["input"] == {"n": 5}
+        assert len(data["result"]) == 6
+        assert data["details"] == {"count": 6}
+
 
 class TestConjectureCommands:
     def test_conjecture1_verified(self, capsys):
         code, out, _ = run_cli(capsys, "conjecture1", "4")
         assert code == EXIT_OK
         assert out == "conjecture1 n=4: verified (descent-set distributions compared)\n"
+
+    def test_conjecture1_json(self, capsys):
+        code, out, _ = run_cli(capsys, "conjecture1", "9", "--json")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["input"] == {"n": 9}
+        assert data["result"] is True
+        assert data["details"]["population"] == math.factorial(9)
+        assert data["details"]["distinct_descent_sets"] == 2**8
+        assert data["details"]["by_count"] == {str(k): v for k, v in enumerate(eulerian_row(9))}
 
     def test_conjecture1_bound(self, capsys):
         code, _, err = run_cli(capsys, "conjecture1", "12")
@@ -370,6 +392,14 @@ class TestXcheck:
         assert code == EXIT_BOUND
         assert out == ""
         assert err == "error: n=10 exceeds the sweep bound 9\n"
+
+
+class TestBenchmarkDigests:
+    @pytest.mark.parametrize("key", list(DIGESTS))
+    def test_stdout_matches_recorded_digest(self, capsys, key):
+        code, out, _ = run_cli(capsys, *key.split(), "--threads", "1")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[key]
 
 
 class TestParsing:

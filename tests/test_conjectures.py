@@ -22,6 +22,7 @@ from shiftpat import (
     phi,
     phi_inv,
 )
+from shiftpat import conjectures
 from shiftpat.conjectures import _by_exact_set, _necklaces
 
 
@@ -97,11 +98,22 @@ class TestConjecture1:
     def test_cycle_counts_match_cycle_sweep(self):
         # The necklace counts against the exhaustive (n-1)! sweep of the n-cycles.
         for n in range(1, 10):
-            want = Counter(
-                frozenset(i + 1 for i in range(n - 1) if sigma[i] > sigma[i + 1])
-                for sigma in n_cycles(n)
-            )
+            want = [0] * (1 << (n - 1))
+            for sigma in n_cycles(n):
+                want[sum(1 << i for i in range(n - 1) if sigma[i] > sigma[i + 1])] += 1
             assert _by_exact_set(n, _necklaces) == want, n
+
+    def test_refutation_reports_full_set_maps(self, monkeypatch):
+        # One extra 5-cycle with all four descents: the cycle side no longer
+        # matches, and both sides still report every set as a frozenset.
+        real = conjectures._necklaces
+        monkeypatch.setattr(conjectures, "_necklaces", lambda gaps: real(gaps) + (len(gaps) == 5))
+        report = check_conjecture1(5)
+        assert not report.matches
+        assert report.t0_distribution.size() == 120 + 5
+        assert report.sn_distribution.size() == 120
+        for dist in (report.t0_distribution, report.sn_distribution):
+            assert dist.by_set and all(isinstance(S, frozenset) for S in dist.by_set)
 
     def test_descent_distribution_helper(self):
         dist = descent_distribution(permutations(range(1, 4)))
