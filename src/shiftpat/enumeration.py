@@ -19,7 +19,7 @@ from operator import gt
 
 from .permutations import _cycles, marked_inverse, marked_rc, reduce, theta_inv
 from .realization import _n_min
-from .words import _pattern, is_primitive, psi
+from .words import EventuallyPeriodicWord, _pattern, is_primitive, psi
 
 __all__ = [
     "BoundExceededError",
@@ -289,7 +289,8 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
 
 
 def forbidden(n: int, N: int, workers: int = 1) -> frozenset:
-    """Patterns of length n never realized over N symbols."""
+    """Patterns of length n never realized over N symbols; n is checked against the bound first."""
+    check_bound(n)
     return frozenset(_all_permutations(range(1, n + 1))) - oracle_allowed(n, N, workers=workers)
 
 
@@ -366,11 +367,8 @@ def omega_census(n: int, N: int) -> OmegaCensus:
             if not is_primitive(p):
                 continue
             for u in product(range(N), repeat=n - t - 1):
-                q = u + p * (n - 1)
-                stop = len(q)
-                while stop and q[stop - 1] == 0:
-                    stop -= 1
-                words[q[:stop]] = _pattern(q, (0,), n)
+                w = EventuallyPeriodicWord(u + p * (n - 1), (0,), N)
+                words[w] = _pattern(w.pre, w.per, n)
     buckets = {j: 0 for j in range(N - 1)}
     theta_buckets = {j: 0 for j in range(N - 1)}
     undefined = 0

@@ -147,12 +147,16 @@ def reverse_complement(pi) -> tuple:
     return tuple(n + 1 - pi[n - i] for i in range(1, n + 1))
 
 
-def inverse(pi) -> tuple:
-    pi = check_permutation(pi)
-    out = [0] * len(pi)
+def _positions(pi) -> list:
+    """inv[v] = 1-indexed position of value v; inv[0] unused."""
+    inv = [0] * (len(pi) + 1)
     for pos, v in enumerate(pi, start=1):
-        out[v - 1] = pos
-    return tuple(out)
+        inv[v] = pos
+    return inv
+
+
+def inverse(pi) -> tuple:
+    return tuple(_positions(check_permutation(pi))[1:])
 
 
 def cycle_decomposition(pi) -> tuple:
@@ -314,14 +318,8 @@ def marked_inverse(mc) -> tuple:
     """
     mc = tuple(mc)
     _check_marked_shape(mc)
-    n = len(mc)
     v = missing_value(mc)
-    star = star_position(mc)
-    full = list(mc)
-    full[star - 1] = v
-    out = [0] * n
-    for pos, e in enumerate(full, start=1):
-        out[e - 1] = pos
+    out = _positions([e or v for e in mc])[1:]  # the one 0 is the mark
     out[v - 1] = 0
     return tuple(out)
 

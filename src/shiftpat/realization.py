@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutations import _theta, check_permutation, marked_des, marked_eps, theta
+from .permutations import _positions, _theta, check_permutation, marked_des, marked_eps, theta
 from .words import EventuallyPeriodicWord, pat
 
 __all__ = [
@@ -28,14 +28,6 @@ __all__ = [
     "witness",
     "realize_check",
 ]
-
-
-def _positions(pi) -> list:
-    """inv[v] = 1-indexed position of value v; inv[0] unused."""
-    inv = [0] * (len(pi) + 1)
-    for pos, v in enumerate(pi, start=1):
-        inv[v] = pos
-    return inv
 
 
 def _checked(pi):
@@ -225,6 +217,19 @@ class WitnessSpec:
     word: EventuallyPeriodicWord
 
 
+# Each variant's precondition on (n, pi(n), Delta case) and the message when
+# it fails. Case I already means an interior pi(n); E and F share one entry.
+_VARIANTS = {
+    "A": (lambda n, b, case: b != n, "variant A needs pi(n) != n"),
+    "B": (lambda n, b, case: b != 1, "variant B needs pi(n) != 1"),
+    "C": (lambda n, b, case: b == 1, "variant C needs pi(n) = 1"),
+    "D": (lambda n, b, case: b == n, "variant D needs pi(n) = n"),
+    "E": (lambda n, b, case: case == "I",
+          "variants E and F need an interior pi(n) with a strict neighbor gap"),
+}
+_VARIANTS["F"] = _VARIANTS["E"]
+
+
 def witness(pi, variant=None, m=None) -> WitnessSpec:
     """A word over exactly n_min(pi) symbols whose pattern is pi.
 
@@ -244,47 +249,27 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     variant = str(variant).upper()
     if variant not in ("A", "B") and m is not None:
         raise ValueError("m applies only to variants A and B")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown witness variant: {variant!r}")
+    applies, message = _VARIANTS[variant]
+    if not applies(n, b, case):
+        raise ValueError(message)
     k = reps = None
     if variant in ("A", "B"):
-        if variant == "A":
-            if b == n:
-                raise ValueError("variant A needs pi(n) != n")
-            k = inv[b + 1]
-        else:
-            if b == 1:
-                raise ValueError("variant B needs pi(n) != 1")
-            k = inv[b - 1]
+        k = inv[b + 1 if variant == "A" else b - 1]
         reps = n - 1 if m is None else int(m)
         if reps < 1 or (reps - 1) * (n - k) < n - 2:
             raise ValueError(f"m={reps} is below the repetition bound for k={k}")
-    elif variant == "C":
-        if b != 1:
-            raise ValueError("variant C needs pi(n) = 1")
-    elif variant == "D":
-        if b != n:
-            raise ValueError("variant D needs pi(n) = n")
-    elif variant in ("E", "F"):
-        if not 1 < b < n or case != "I":
-            raise ValueError("variants E and F need an interior pi(n) with a strict neighbor gap")
-    else:
-        raise ValueError(f"unknown witness variant: {variant!r}")
     # pi and the variant are valid from here on: build the word
     strict_values = _a_set(pi, inv)
     N = 1 + len(strict_values) + d
-    base = _base_assignment(_required_chain(pi, inv, strict_values, case))
-    if variant in ("A", "B"):
-        prefix = base[: k - 1] + base[k - 1 :] * reps
-        tail = 0 if variant == "A" else N - 1
-    elif variant == "C":
-        prefix, tail = base, 0
-    elif variant == "D":
-        prefix, tail = base, N - 1
-    else:
-        c = base[inv[b - 1] - 1]
-        if variant == "E":
-            prefix, tail = base + (c,), N - 1
-        else:
-            prefix, tail = base + (c + 1,), 0
+    prefix = _base_assignment(_required_chain(pi, inv, strict_values, case))
+    if k is not None:
+        prefix = prefix[: k - 1] + prefix[k - 1 :] * reps
+    elif variant in ("E", "F"):
+        c = prefix[inv[b - 1] - 1]
+        prefix += (c + 1 if variant == "F" else c,)
+    tail = N - 1 if variant in ("B", "D", "E") else 0
     word = EventuallyPeriodicWord(prefix, (tail,), N)
     return WitnessSpec(variant=variant, k=k, m=reps, word=word)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftpat import cli
+from shiftpat import cli, enumeration
 from shiftpat.cli import EXIT_BOUND, EXIT_MALFORMED, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, main
 from shiftpat.conjectures import (
     Conjecture1Report,
@@ -392,6 +392,21 @@ class TestXcheck:
         assert code == EXIT_BOUND
         assert out == ""
         assert err == "error: n=10 exceeds the sweep bound 9\n"
+
+
+class TestPatternSetBound:
+    @pytest.mark.parametrize("command", ["forbidden", "minimal-forbidden"])
+    def test_bound_before_any_work(self, capsys, monkeypatch, command):
+        def no_work(*args, **kw):
+            raise AssertionError(f"{command} swept past its bound")
+
+        monkeypatch.setattr(enumeration, "_least_alphabets", no_work)
+        monkeypatch.setattr(enumeration, "_all_permutations", no_work)
+        code, out, err = run_cli(capsys, command, "12", "3")
+        assert code == EXIT_BOUND
+        assert out == ""
+        assert err == "error: n=12 exceeds the sweep bound 9\n"
+        assert_one_usage_error(err)
 
 
 class TestBenchmarkDigests:

@@ -350,6 +350,18 @@ class TestOracle:
 
 
 class TestForbidden:
+    @pytest.mark.parametrize("sweep", [forbidden, minimal_forbidden])
+    def test_bound_before_any_work(self, monkeypatch, sweep):
+        def no_work(*args, **kw):
+            raise AssertionError("swept past the bound")
+
+        monkeypatch.setattr(enumeration, "_least_alphabets", no_work)
+        monkeypatch.setattr(enumeration, "_all_permutations", no_work)
+        with pytest.raises(BoundExceededError, match="n=10 exceeds the sweep bound 9"):
+            sweep(10, 3)
+        with pytest.raises(AssertionError):  # n = 9 is within the bound, so the sweep starts
+            sweep(9, 3)
+
     def test_minimal_forbidden_of_four_symbols(self):
         assert minimal_forbidden(6, 4) == MINIMAL_FORBIDDEN_6_4
 

@@ -294,10 +294,12 @@ class TestWitness:
             ((1, 2, 3), "A", None, "variant A"),
             ((2, 3, 1), "B", None, "variant B"),
             ((2, 1, 3), "C", None, "variant C"),
+            ((2, 3, 1), "D", None, "variant D"),
             ((4, 3, 6, 1, 5, 2), "E", None, "E and F"),
+            ((4, 3, 6, 1, 5, 2), "F", None, "E and F"),
             ((4, 3, 6, 1, 5, 2), "A", 1, "repetition bound"),
         ],
-        ids=["A", "B", "C", "E", "A-m1"],
+        ids=["A", "B", "C", "D", "E", "F", "A-m1"],
     )
     def test_rejects_before_building(self, monkeypatch, pi, variant, m, message):
         def unreachable(*args):
@@ -307,6 +309,23 @@ class TestWitness:
         monkeypatch.setattr(realization, "_a_set", unreachable)
         with pytest.raises(ValueError, match=message):
             witness(pi, variant, m)
+
+    @pytest.mark.parametrize("variant", ["Z", "G", "AB", ""])
+    def test_unknown_variant(self, variant):
+        with pytest.raises(ValueError, match="unknown witness variant"):
+            witness((4, 3, 6, 1, 5, 2), variant)
+
+    def test_lower_case_variant_accepted(self):
+        assert witness((4, 3, 6, 1, 5, 2), "a") == witness((4, 3, 6, 1, 5, 2), "A")
+        # (2, 4, 1, 3) ends interior with a strict neighbor gap: Delta case I
+        assert witness((2, 4, 1, 3), "e").variant == "E"
+        assert witness((2, 4, 1, 3), "e") == witness((2, 4, 1, 3), "E")
+
+    @pytest.mark.parametrize("variant", ["C", "D", "z"])
+    def test_m_checked_before_the_variant(self, variant):
+        # m is rejected first, whether the variant applies (C), does not (D) or is unknown
+        with pytest.raises(ValueError, match="m applies only to variants A and B"):
+            witness((3, 5, 2, 4, 1), variant=variant, m=3)
 
     def test_soundness_all_variants_small(self):
         for n in range(2, 7):
