@@ -157,17 +157,18 @@ def solve_recurrence(n: int, b) -> tuple:
     return tuple(r)
 
 
-def _fan_out(work, jobs, workers: int) -> list:
-    """[work(job) for job in jobs], on min(workers, len(jobs)) processes when that exceeds 1.
+def _fan_out(work, jobs, workers: int):
+    """Yield work(job) for job in jobs, on min(workers, len(jobs)) processes when that exceeds 1.
 
-    Results come back in job order, so a merge over them is the same for
-    any worker count.
+    Results come back one at a time in job order, so a merge over them is
+    the same for any worker count and need not hold them all at once.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
-        return [work(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, jobs))
+        yield from map(work, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(work, jobs)
 
 
 @dataclass
@@ -220,33 +221,26 @@ def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> P
 
 
 def _oracle_slice(args):
-    """The patterns of the family words on exactly the symbols 0..k-1 whose base starts with head.
+    """The patterns of the tail-0 family words on exactly 0..k-1 whose base starts with first.
 
-    A family word is u p^(n-1) x^inf: a base b = u p in {0..k-1}^(n-1), cut
-    at every t = |p| in 1..n-1, and a tail x in {0, k-1}. Only the words with
-    set(b) | {x} = {0..k-1} are swept; the rest relabel into a smaller k.
+    A tail-0 family word is u p^(n-1) 0^inf: a base b = u p in {0..k-1}^(n-1),
+    cut at every t = |p| in 1..n-1. Only the bases holding every symbol
+    1..k-1 are swept; the rest relabel into a smaller k.
     """
-    n, k, head = args
+    n, k, first = args
     found = set()
-    symbols = frozenset(range(k))
-    tails = [(x, bytes([x])) for x in {0, k - 1}]
-    for rest in product(range(k), repeat=n - 1 - len(head)):
-        base = bytes(head + rest)
-        missing = symbols.difference(base)
-        word_tails = [tail for x, tail in tails if missing <= {x}]
-        if not word_tails:
-            continue
-        for t in range(1, n):
-            prefix = base + base[n - 1 - t :] * (n - 2)
-            for tail in word_tails:
-                p = _pattern(prefix, tail, n)
-                if p is not None:
-                    found.add(p)
+    needed = frozenset(range(1, k))
+    for rest in product(range(k), repeat=n - 2):
+        base = bytes((first, *rest))
+        if needed.issubset(base):
+            for t in range(1, n):
+                found.add(_pattern(base + base[n - 1 - t :] * (n - 2), b"\0", n))
+    found.discard(None)
     return found
 
 
 def _least_alphabets(n: int, N: int, workers: int) -> dict:
-    """{pi: N(pi)} for every pi with N(pi) <= N, from one sweep of the normalized family words.
+    """{pi: N(pi)} for every pi with N(pi) <= N, from one sweep of the normalized tail-0 words.
 
     Patterns depend only on how symbols compare, and a family word's tail is
     its least or largest symbol, so a word with k distinct symbols relabels,
@@ -256,16 +250,13 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
     symbols.
 
     Complementing every symbol within k (s -> k-1-s) reverses every suffix
-    comparison and keeps ties, the symbols 0..k-1 and the tails {0, k-1}: the
-    complemented word realizes complement(pat(w)), or nothing with w, and its
-    base's head (first min(2, n-1) symbols) is h' = (k-1-x for x in h). So
-    the jobs (k, h) are the heads with h <= h', one of each pair, in
-    increasing k, and a pattern and its complement take the k of the first
-    job that finds either.
+    comparison, keeps ties and the symbols 0..k-1, and maps the words with
+    tail k-1 onto the words with tail 0, so those realize exactly the
+    complements of what these realize. The jobs (k, first) therefore sweep
+    tail 0 only, one per first symbol, in increasing k, and a pattern and its
+    complement take the k of the first job that finds either.
     """
-    jobs = [(n, k, h) for k in range(1, min(N, n) + 1)
-            for h in product(range(k), repeat=min(2, n - 1))
-            if h <= tuple(k - 1 - x for x in h)]
+    jobs = [(n, k, first) for k in range(1, min(N, n) + 1) for first in range(k)]
     least = {}
     for (_, k, _), part in zip(jobs, _fan_out(_oracle_slice, jobs, workers)):
         for pi in part:
@@ -277,11 +268,13 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
 def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     """Every pattern of length n realized over N symbols, by direct search.
 
-    Runs pattern extraction over the word family u p^(n-1) x^inf with
-    |u| + |p| = n - 1, which realizes every allowed pattern, relabelled onto
-    exactly the symbols 0..k-1 for each k <= min(N, n), with x in {0, k-1}.
-    Uses only lexicographic suffix comparison; the minimal-alphabet formula
-    is never consulted.
+    Runs pattern extraction over the words u p^(n-1) 0^inf with
+    |u| + |p| = n - 1 on exactly the symbols 0..k-1, for each k <= min(N, n),
+    and adds the complement of each pattern found, which the complemented
+    words (tail k-1) realize; together they are the family u p^(n-1) x^inf,
+    x in {0, k-1}, which realizes every allowed pattern. Uses only
+    lexicographic suffix comparison; the minimal-alphabet formula is never
+    consulted.
     """
     if n < 2 or N < 1:
         raise ValueError("need n >= 2 and N >= 1")

@@ -239,10 +239,9 @@ def _theta(pi) -> tuple:
 
 def theta_inv(mc) -> tuple:
     """The unique pi with theta(pi) = mc; errors unless mc is a marked cycle."""
-    mc = tuple(mc)
+    mc = _check_marked_shape(mc)
     n = len(mc)
-    _check_marked_shape(mc)
-    pi = [missing_value(mc)]
+    pi = [_missing_value(mc)]
     while mc[pi[-1] - 1] != 0 and len(pi) <= n:
         pi.append(mc[pi[-1] - 1])
     if len(pi) != n:
@@ -257,21 +256,28 @@ def marked_cycles(n: int):
             yield sigma[:p] + (0,) + sigma[p + 1 :]
 
 
-def _check_marked_shape(mc) -> None:
+def _check_marked_shape(mc) -> tuple:
+    """Return mc as a tuple after checking it is n-1 distinct values of 1..n and one mark 0."""
+    mc = tuple(mc)
     n = len(mc)
     vals = [e for e in mc if e != 0]
     if mc.count(0) != 1 or len(set(vals)) != n - 1 or not all(1 <= e <= n for e in vals):
         raise ValueError(f"not a marked cycle shape: {mc!r}")
+    return mc
 
 
 def star_position(mc) -> int:
     """1-indexed slot of the mark."""
-    return tuple(mc).index(0) + 1
+    return _check_marked_shape(mc).index(0) + 1
 
 
 def missing_value(mc) -> int:
     """The value of 1..n hidden behind the mark."""
-    mc = tuple(mc)
+    return _missing_value(_check_marked_shape(mc))
+
+
+def _missing_value(mc) -> int:
+    """missing_value of a tuple trusted to have the marked cycle shape."""
     return set(range(1, len(mc) + 1)).difference(mc).pop()
 
 
@@ -316,9 +322,8 @@ def marked_inverse(mc) -> tuple:
     The mark's implied value is restored for the transposition and
     erased again afterwards.
     """
-    mc = tuple(mc)
-    _check_marked_shape(mc)
-    v = missing_value(mc)
+    mc = _check_marked_shape(mc)
+    v = _missing_value(mc)
     out = _positions([e or v for e in mc])[1:]  # the one 0 is the mark
     out[v - 1] = 0
     return tuple(out)
@@ -347,8 +352,7 @@ def parse_marked(text: str) -> tuple:
         mc = tuple(0 if t == "*" else int(t) for t in tokens)
     except ValueError:
         raise ValueError(f"not a marked cycle literal: {text!r}") from None
-    _check_marked_shape(mc)
-    return mc
+    return _check_marked_shape(mc)
 
 
 def format_marked(mc) -> str:

@@ -247,6 +247,8 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     if variant is None:
         variant = "A" if pi[-2] > b else "B"
     variant = str(variant).upper()
+    if m is not None and (not isinstance(m, int) or isinstance(m, bool)):
+        raise ValueError("m must be an integer")
     if variant not in ("A", "B") and m is not None:
         raise ValueError("m applies only to variants A and B")
     if variant not in _VARIANTS:
@@ -257,7 +259,7 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     k = reps = None
     if variant in ("A", "B"):
         k = inv[b + 1 if variant == "A" else b - 1]
-        reps = n - 1 if m is None else int(m)
+        reps = n - 1 if m is None else m
         if reps < 1 or (reps - 1) * (n - k) < n - 2:
             raise ValueError(f"m={reps} is below the repetition bound for k={k}")
     # pi and the variant are valid from here on: build the word

@@ -150,8 +150,8 @@ class TestClosedForms:
                 assert len(rows) == 1, (n, N_max, rows)
 
     def test_oracle_row_stops_at_n(self, monkeypatch):
-        # one sweep over the alphabets k = 1 .. min(N_max, n), one job per
-        # two-symbol head h with h <= its complement within k: ceil(k**2 / 2)
+        # one sweep over the alphabets k = 1 .. min(N_max, n), one tail-0 job
+        # per first symbol of the base: k jobs for each k
         alphabets = []
         sweep = enumeration._oracle_slice
 
@@ -161,7 +161,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(enumeration, "_oracle_slice", counted)
         assert count_row(5, 12, method="oracle") == count_row(5, 12)
-        assert alphabets == [1] + [2] * 2 + [3] * 5 + [4] * 8 + [5] * 13
+        assert alphabets == [1] + [2] * 2 + [3] * 3 + [4] * 4 + [5] * 5
 
     @pytest.mark.parametrize("kind", ["g", "h"])
     @pytest.mark.parametrize("method", ["brute", "oracle"])
@@ -280,7 +280,7 @@ class TestOracle:
                 previous = size
 
     def test_parallel_merge_identical(self):
-        # head jobs at an odd and an even alphabet, merged from two workers
+        # first-symbol jobs at an odd and an even alphabet, merged from two workers
         for n, N in ((6, 3), (7, 4), (6, 5)):
             assert oracle_allowed(n, N, workers=2) == oracle_allowed(n, N, workers=1), (n, N)
         assert count_row(7, 5, method="oracle", workers=2) == count_row(7, 5)
@@ -306,9 +306,9 @@ class TestOracle:
                 assert oracle_allowed(n, N) == oracle_allowed(n, n), (n, N)
 
     def test_half_sweep_equals_full_family(self):
-        # per pattern, against every word of the family over N symbols with
-        # no relabelling and no complement step; n = 2 has one-symbol heads,
-        # and an odd k has the self-complementary head (m, m)
+        # per pattern, against every word of the family over N symbols, both
+        # tails, with no relabelling and no complement step; n = 2 has
+        # one-symbol bases, and an odd k has self-complementary words
         for n in range(2, 8):
             for N in range(1, 6):
                 assert _least_alphabets(n, N, 1) == family_least(n, N), (n, N)
@@ -330,9 +330,34 @@ class TestOracle:
         monkeypatch.setattr(enumeration, "_oracle_slice", job)
         monkeypatch.setattr(enumeration, "_pattern", recorded)
         _least_alphabets(6, 4, 1)
-        assert [k for k, _ in words_by_job] == [1] + [2] * 2 + [3] * 5 + [4] * 8
+        assert [k for k, _ in words_by_job] == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
         for k, seen in words_by_job:
             assert seen and all(set(w) == set(range(k)) for w in seen), k
+
+    @pytest.mark.parametrize("n, N", [(5, 3), (6, 4), (7, 3), (7, 5), (8, 4)])
+    def test_sweeps_the_tail_zero_words_on_exactly_k_symbols(self, monkeypatch, n, N):
+        # alphabet k reads n-1 cuts of each base in {0..k-1}^(n-1) that holds
+        # every symbol 1..k-1, counted by inclusion-exclusion over the
+        # missing ones
+        calls = Counter()
+        sweep, kernel = enumeration._oracle_slice, enumeration._pattern
+        alphabet = []
+
+        def job(args):
+            alphabet.append(args[1])
+            return sweep(args)
+
+        def counted(*args):
+            calls[alphabet[-1]] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(enumeration, "_oracle_slice", job)
+        monkeypatch.setattr(enumeration, "_pattern", counted)
+        _least_alphabets(n, N, 1)
+        assert calls == {
+            k: (n - 1) * sum((-1) ** j * math.comb(k - 1, j) * (k - j) ** (n - 1) for j in range(k))
+            for k in range(1, N + 1)
+        }
 
     def test_eventually_constant_words_add_nothing(self):
         # formula-free check: short one-tailed binary words stay inside

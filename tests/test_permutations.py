@@ -195,6 +195,12 @@ class TestTheta:
         assert missing_value(mc) == 8
         assert star_deleted(mc) == (5, 3, 6, 1, 7, 4, 9, 2)
 
+    @pytest.mark.parametrize("helper", [star_position, missing_value])
+    @pytest.mark.parametrize("mc", [(1, 2, 3), (0, 0, 1), (0, 4, 1), (2, 0, 2), ()])
+    def test_star_helpers_reject_bad_shape(self, helper, mc):
+        with pytest.raises(ValueError, match="not a marked cycle shape"):
+            helper(mc)
+
 
 class TestMarkedStatistics:
     def test_marked_des_worked(self):

@@ -327,6 +327,14 @@ class TestWitness:
         with pytest.raises(ValueError, match="m applies only to variants A and B"):
             witness((3, 5, 2, 4, 1), variant=variant, m=3)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3", True, False])
+    @pytest.mark.parametrize("variant", [None, "C"])
+    def test_m_must_be_an_integer(self, variant, m):
+        # checked before every other m check, so never truncated and never
+        # mistaken for an m given to the wrong variant
+        with pytest.raises(ValueError, match="m must be an integer"):
+            witness((3, 1, 2), variant=variant, m=m)
+
     def test_soundness_all_variants_small(self):
         for n in range(2, 7):
             for pi in s_n(n):
