@@ -93,14 +93,15 @@ def _cmd_witness(args) -> tuple:
     spec = witness(pi, variant=args.variant, m=args.m)
     symbols = set(spec.word.pre) | set(spec.word.per)
     good = realize_check(pi, spec.word) and len(symbols) == spec.word.alphabet_size
+    literal = spec.word.to_string()
     lines = [
-        f"word={spec.word.to_string()}",
+        f"word={literal}",
         f"variant={spec.variant} k={spec.k} m={spec.m}",
         f"check={'ok' if good else 'FAIL'}",
     ]
     return (
         {"perm": list(pi), "variant": args.variant, "m": args.m},
-        spec.word.to_string(),
+        literal,
         {"variant": spec.variant, "k": spec.k, "m": spec.m, "check": good},
         lines,
     )

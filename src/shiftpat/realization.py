@@ -164,16 +164,12 @@ class RequiredChain:
 
 def required_chain(pi) -> RequiredChain:
     pi, inv = _checked(pi)
-    return _required_chain(pi, inv, _a_set(pi, inv), _delta(pi, inv)[1])
-
-
-def _required_chain(pi, inv, strict_values, case) -> RequiredChain:
-    """The chain of pi given A(pi) and the case tag of Delta."""
+    case = _delta(pi, inv)[1]
     n = len(pi)
     b = pi[-1]
     order = tuple(inv[v] for v in range(1, n + 1) if v != b)
     # value v sits at chain slot v (below b) or v-1 (above b)
-    strict = {a if a < b else a - 1 for a in strict_values}
+    strict = {a if a < b else a - 1 for a in _a_set(pi, inv)}
     if case == "I":
         strict.add(b - 1)
     if b == 1:
@@ -194,17 +190,32 @@ def base_assignment(pi) -> tuple:
     >>> base_assignment((4, 3, 6, 1, 5, 2))
     (1, 0, 3, 0, 2)
     """
-    return _base_assignment(required_chain(pi))
+    pi, inv = _checked(pi)
+    return _base_assignment(pi, inv, _delta(pi, inv)[1])[0]
 
 
-def _base_assignment(chain: RequiredChain) -> tuple:
-    value = 1 if chain.delta_case == "II" else 0
-    w = [0] * (len(chain.order) + 2)
-    for idx, pos in enumerate(chain.order, start=1):
-        if idx > 1 and (idx - 1) in chain.strict_after:
+def _base_assignment(pi, inv, case) -> tuple:
+    """(w_1..w_{n-1}, |A(pi)|) in one walk over the values 1..n, given Delta's case tag.
+
+    The slot of each value v but pi(n) gets the current symbol; the chain
+    then steps up when v is in A(pi), or in case I when v = pi(n) - 1.
+    """
+    n = len(pi)
+    b = pi[-1]
+    w = [0] * (n + 1)
+    value = 1 if case == "II" else 0
+    strict = 0
+    for v in range(1, n + 1):
+        i = inv[v]
+        if i == n:
+            continue
+        w[i] = value
+        if v < n and inv[v + 1] < n and pi[i] > pi[inv[v + 1]]:
+            strict += 1
             value += 1
-        w[pos] = value
-    return tuple(w[1:-1])
+        elif case == "I" and v == b - 1:
+            value += 1
+    return tuple(w[1:n]), strict
 
 
 @dataclass(frozen=True)
@@ -263,9 +274,8 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
         if reps < 1 or (reps - 1) * (n - k) < n - 2:
             raise ValueError(f"m={reps} is below the repetition bound for k={k}")
     # pi and the variant are valid from here on: build the word
-    strict_values = _a_set(pi, inv)
-    N = 1 + len(strict_values) + d
-    prefix = _base_assignment(_required_chain(pi, inv, strict_values, case))
+    prefix, strict = _base_assignment(pi, inv, case)
+    N = 1 + strict + d
     if k is not None:
         prefix = prefix[: k - 1] + prefix[k - 1 :] * reps
     elif variant in ("E", "F"):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from math import lcm
+from operator import itemgetter
 
 from .permutations import _rank
 
@@ -123,13 +124,18 @@ class EventuallyPeriodicWord:
         per = primitive_root(per)
         if not per:
             raise ValueError("period must be nonempty")
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1:] + per[:-1]
-        symbols = pre + per
+        # the preperiod's tail that reads the period backwards is absorbed: one cut, one rotation
+        p, cut = len(per), len(pre)
+        while cut and pre[cut - 1] == per[(cut - len(pre) - 1) % p]:
+            cut -= 1
+        r = p - (len(pre) - cut) % p
+        pre, per = pre[:cut], per[r:] + per[:r]
+        lo, hi = min(per), max(per)
+        if pre:
+            lo, hi = min(lo, min(pre)), max(hi, max(pre))
         if alphabet_size is None:
-            alphabet_size = max(symbols) + 1
-        if min(symbols) < 0 or max(symbols) >= alphabet_size:
+            alphabet_size = hi + 1
+        if lo < 0 or hi >= alphabet_size:
             raise ValueError(f"symbols must lie in 0..{alphabet_size - 1}")
         self.pre = pre
         self.per = per
@@ -173,15 +179,22 @@ class EventuallyPeriodicWord:
 
     @staticmethod
     def _part_to_string(part) -> str:
-        if max(part, default=0) <= 9:
-            return "".join(map(str, part))
-        return "[" + ",".join(map(str, part)) + "]"
+        try:
+            symbols = bytes(part)
+        except ValueError:  # a symbol past 255
+            return "[" + ",".join(map(str, part)) + "]"
+        try:
+            return symbols.translate(_TO_DIGIT).decode("ascii")
+        except UnicodeDecodeError:  # a symbol past 9; index 0 makes itemgetter return a tuple
+            return "[" + ",".join(itemgetter(0, *symbols)(_SYMBOL_TEXT)[1:]) + "]"
 
     def to_string(self) -> str:
         """Literal form PRE(PER), e.g. 10302(0); bracketed lists past digit range."""
         return f"{self._part_to_string(self.pre)}({self._part_to_string(self.per)})"
 
-    _LITERAL = re.compile(r"^\s*(\[[^\][()]*\]|\d*)\s*\(\s*(\[[^\][()]*\]|\d+)\s*\)\s*$")
+    # a part is ASCII digits, one symbol each, or a bracketed comma list of unsigned
+    # integers; _parse_symbols rejects an empty or spaced-out item in the list
+    _LITERAL = re.compile(r"^\s*(\[[\d\s,]*\]|\d*)\s*\(\s*(\[[\d\s,]*\]|\d+)\s*\)\s*$", re.ASCII)
 
     @classmethod
     def from_string(cls, text: str, alphabet_size=None) -> "EventuallyPeriodicWord":
@@ -193,18 +206,37 @@ class EventuallyPeriodicWord:
         (0,)
         """
         m = cls._LITERAL.match(text)
-        if m is None:
-            raise ValueError(f"not a PRE(PER) word literal: {text!r}")
-        return cls(_parse_symbols(m.group(1)), _parse_symbols(m.group(2)), alphabet_size)
+        if m is not None:
+            try:
+                pre, per = map(_parse_symbols, m.groups())
+            except ValueError:
+                pass
+            else:
+                return cls(pre, per, alphabet_size)
+        raise ValueError(f"not a PRE(PER) word literal: {text!r}")
+
+
+# Literal I/O tables. In the digit form a symbol 0..9 is one ASCII digit, and
+# 10..255 map to a byte that is not ASCII, so decoding fails past 9. A bracketed
+# list reads and writes symbols below 256 through their decimal texts.
+_TO_DIGIT = b"0123456789" + b"\x80" * 246
+_FROM_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
+_SYMBOL_TEXT = tuple(map(str, range(256)))
+_TEXT_SYMBOL = {text: s for s, text in enumerate(_SYMBOL_TEXT)}
 
 
 def _parse_symbols(token: str) -> tuple:
+    """The symbols of one literal part; ValueError for a list item that is not a number."""
     if token.startswith("["):
         inner = token[1:-1].strip()
         if not inner:
             return ()
-        return tuple(map(int, inner.split(",")))
-    return tuple(map(int, token))
+        items = inner.split(",")
+        try:
+            return tuple(map(_TEXT_SYMBOL.__getitem__, items))
+        except KeyError:  # a symbol past 255, a leading zero or a space: int() reads it or fails
+            return tuple(map(int, items))
+    return tuple(token.encode().translate(_FROM_DIGIT))
 
 
 def compare(w1: EventuallyPeriodicWord, w2: EventuallyPeriodicWord) -> int:
@@ -237,17 +269,23 @@ def pat(w: EventuallyPeriodicWord, n: int):
 def _pattern(pre, per, n: int):
     """pat of the word pre . per^inf, for any preperiod and nonempty period.
 
-    pre and per are both tuples or both bytes, canonical or not. Suffix i
-    is keyed by its first |pre| + |per| symbols, which decide every
-    comparison: past its first |pre| symbols a suffix is |per|-periodic, so
-    two suffixes agreeing that far agree on a whole period beyond |pre|,
-    hence everywhere. Suffixes |pre| + 1 and |pre| + |per| + 1 are both
-    per^inf, so any n past that width ties.
+    pre and per are both tuples or both bytes, canonical or not; tuples whose
+    symbols all lie below 256 are keyed as bytes. Suffix i is keyed by its
+    first |pre| + |per| symbols, which decide every comparison: past its
+    first |pre| symbols a suffix is |per|-periodic, so two suffixes agreeing
+    that far agree on a whole period beyond |pre|, hence everywhere.
+    Suffixes |pre| + 1 and |pre| + |per| + 1 are both per^inf, so any n
+    past that width ties.
     """
     width = len(pre) + len(per)
     if n > width:
         return None
     full = pre + per * (-(-(n - 1) // len(per)) + 1)
+    if type(full) is tuple:
+        try:  # bytes keys slice by memcpy and compare by memcmp
+            full = bytes(full)
+        except ValueError:  # a symbol past 255: keep the tuple keys
+            pass
     return _rank([full[i : i + width] for i in range(n)])
 
 

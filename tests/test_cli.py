@@ -149,6 +149,22 @@ class TestPat:
         assert code == EXIT_MALFORMED
         assert "not a PRE(PER) word literal: 'abc'" in err
 
+    def test_empty_list_item_is_malformed(self, capsys):
+        # an empty item is a malformed literal, not int()'s own message
+        code, out, err = run_cli(capsys, "pat", "[1,,2](0)", "3")
+        assert code == EXIT_MALFORMED
+        assert out == ""
+        assert err == "error: not a PRE(PER) word literal: '[1,,2](0)'\n"
+
+    def test_bracket_round_trip_from_witness(self, capsys):
+        # 11 symbols: the witness is printed as bracketed lists and read back
+        _, out, _ = run_cli(capsys, "witness", "--json", "1,12,2,11,3,10,4,9,5,8,6,7")
+        word = json.loads(out)["result"]
+        assert word.startswith("[")
+        code, out, _ = run_cli(capsys, "pat", word, "12")
+        assert code == EXIT_OK
+        assert out == "1 12 2 11 3 10 4 9 5 8 6 7\n"
+
     def test_round_trip_from_witness(self, capsys):
         for pi in permutations(range(1, 7)):
             spec = witness(pi)

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftpat import enumeration
+import shiftpat
+from shiftpat import conjectures, enumeration, realization, words
+from shiftpat import permutations as permutations_module
 from shiftpat import (
     BoundExceededError,
     EventuallyPeriodicWord,
@@ -35,6 +37,7 @@ from shiftpat.enumeration import _alternate, _least_alphabets
 from shiftpat.words import _pattern
 
 GOLDEN = Path(__file__).parent / "golden"
+SHIFTPAT_MODULES = (shiftpat, conjectures, enumeration, permutations_module, realization, words)
 
 STRATA = {
     2: {2: 2},
@@ -476,3 +479,51 @@ class TestOmegaCensus:
         assert census.buckets == census.buckets_predicted
         assert census.theta_buckets == census.theta_buckets_predicted
         assert census.total == census.total_predicted
+
+
+def poison(monkeypatch, *names):
+    """Make each named function raise wherever a shiftpat module looks it up."""
+    for name in names:
+        def called(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        sites = [m for m in SHIFTPAT_MODULES if hasattr(m, name)]
+        assert sites, f"no module looks up {name}"
+        for module in sites:
+            monkeypatch.setattr(module, name, called)
+
+
+class TestIndependence:
+    """Each method computes its row with every other method's kernel poisoned, at one worker."""
+
+    # the A/Delta and marked-cycle formulas for N(pi), and the brute sweep over them
+    FORMULAS = ("_n_min", "n_min", "n_min_marked", "theta", "_theta", "_a_set", "_delta",
+                "marked_des", "marked_eps", "_nmin_slice", "enumerate_by_nmin")
+    # the closed forms: psi, its sums and the binomial inversion, unrolled or not
+    CLOSED = ("_alternate", "_primitive_sum", "psi", "solve_recurrence")
+    # the word-family oracle
+    ORACLE = ("_oracle_slice", "_least_alphabets", "_pattern")
+
+    @pytest.mark.parametrize("n, N", [(6, 4), (7, 3)])
+    def test_oracle_reads_no_formula(self, monkeypatch, n, N):
+        row = count_row(n, N)
+        allowed = frozenset(pi for pi in s_n(n) if n_min(pi) <= N)
+        poison(monkeypatch, *self.FORMULAS, *self.CLOSED)
+        assert count_row(n, N, method="oracle", workers=1) == row
+        assert oracle_allowed(n, N, workers=1) == allowed
+
+    @pytest.mark.parametrize("n, N", [(6, 5), (7, 6)])
+    def test_brute_reads_neither_closed_form_nor_oracle(self, monkeypatch, n, N):
+        row = count_row(n, N)
+        poison(monkeypatch, "_n_min", "_a_set", "_delta", *self.CLOSED, *self.ORACLE)
+        assert count_row(n, N, method="brute", workers=1) == row
+
+    @pytest.mark.parametrize("method, other", [("closed", "solve_recurrence"),
+                                               ("recurrence", "_alternate")])
+    def test_closed_and_recurrence_read_no_sweep(self, monkeypatch, method, other):
+        brute = {n: count_row(n, 6, method="brute") for n in range(3, 8)}
+        poison(monkeypatch, *self.FORMULAS, *self.ORACLE, other)
+        for n, row in brute.items():
+            assert count_row(n, 6, method=method) == row
+            g, h = count_row(n, 6, "g", method), count_row(n, 6, "h", method)
+            assert tuple(map(sum, zip(g, h))) == row

@@ -227,6 +227,23 @@ class TestBaseAssignment:
                 assert len(base) == n - 1
                 assert 0 <= min(base) and max(base) <= n_min(pi) - 1
 
+    def test_one_walk_matches_the_chain(self):
+        # the one walk over the values equals the walk over required_chain's
+        # slots and strict gaps, and counts A(pi) on the way
+        for n in range(2, 8):
+            for pi in s_n(n):
+                ch = required_chain(pi)
+                value = 1 if ch.delta_case == "II" else 0
+                w = [0] * (n + 1)
+                for idx, pos in enumerate(ch.order, start=1):
+                    if idx > 1 and idx - 1 in ch.strict_after:
+                        value += 1
+                    w[pos] = value
+                inv = permutations_module._positions(pi)
+                prefix, strict = realization._base_assignment(pi, inv, delta(pi)[1])
+                assert prefix == tuple(w[1:n]) == base_assignment(pi)
+                assert strict == len(a_set(pi))
+
 
 class TestWitness:
     def test_example_with_small_m(self):

@@ -21,6 +21,7 @@ from shiftpat import (
     psi,
     word_complement,
 )
+from shiftpat.permutations import _rank
 from shiftpat.words import _pattern
 
 W = EventuallyPeriodicWord.from_string
@@ -54,10 +55,47 @@ class TestNormalForm:
         w = EventuallyPeriodicWord.from_string("[1,0,3](0)")
         assert w.pre == (1, 0, 3) and w.per == (0,)
 
-    @pytest.mark.parametrize("bad", ["abc", "10", "()", "10()", "(", "1)(0)"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "abc", "10", "()", "10()", "(", "1)(0)",
+            # ASCII digits only; a list item is one unsigned decimal integer
+            "\u0661\u0660(\u0660)", "[1_0,2](0)", "[+3, 1](0)", "[1,,2](0)",
+        ],
+    )
     def test_bad_literals_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a PRE\\(PER\\) word literal"):
             W(bad)
+
+    @pytest.mark.parametrize(
+        "literal, pre, per",
+        [
+            ("10302(0)", (1, 0, 3, 0, 2), (0,)),
+            ("[ 10 , 2 ,3 ](0)", (10, 2, 3), (0,)),
+            ("[](12)", (), (1, 2)),
+            ("[ ](0)", (), (0,)),
+            ("[007](1)", (7,), (1,)),
+            ("[300](256)", (300,), (2, 5, 6)),
+        ],
+    )
+    def test_literal_grammar(self, literal, pre, per):
+        w = W(literal)
+        assert (w.pre, w.per) == (pre, per)
+
+    @pytest.mark.parametrize(
+        "pre, per, text",
+        [
+            ((), (0,), "(0)"),
+            ((1, 0, 3, 0, 2), (0,), "10302(0)"),
+            ((9, 8, 7), (0, 1), "987(01)"),
+            ((10,), (0,), "[10](0)"),
+            ((1, 0), (9, 12), "10([9,12])"),
+            ((255, 3), (0,), "[255,3](0)"),
+            ((256, 3), (0,), "[256,3](0)"),
+        ],
+    )
+    def test_to_string_exact(self, pre, per, text):
+        assert EventuallyPeriodicWord(pre, per).to_string() == text
 
     def test_symbol_out_of_alphabet_rejected(self):
         with pytest.raises(ValueError):
@@ -73,6 +111,38 @@ class TestNormalForm:
     @example(W("(0)"))
     def test_to_string_round_trip(self, w):
         assert W(w.to_string()) == w
+
+    @given(words(max_pre=12, max_per=5, alphabet=st.integers(1, 300)))
+    @example(EventuallyPeriodicWord((255, 256), (9,), 300))
+    @example(EventuallyPeriodicWord((12,), (0,), 13))
+    def test_bracket_round_trip(self, w):
+        # a part holding a symbol past 9 is a bracketed list; past 255 it leaves the byte tables
+        back = W(w.to_string())
+        assert back == w and (back.pre, back.per) == (w.pre, w.per)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda N: st.tuples(
+                st.lists(st.integers(0, N - 1), max_size=6),
+                st.lists(st.integers(0, N - 1), min_size=1, max_size=3),
+            )
+        ),
+        st.integers(1, 3),
+        st.integers(0, 4),
+        st.integers(0, 3),
+    )
+    @example(((0,), (1, 0)), 3, 3, 1)  # a proper power spanned three times, then a rotation
+    def test_canonical_form_matches_stepwise_absorption(self, drawn, power, spans, extra):
+        # the period is a proper power; the preperiod ends in whole periods and a suffix of one
+        head, root = drawn
+        per = tuple(root) * power
+        pre = tuple(head) + per * spans + per[len(per) - extra % len(per) :]
+        w = EventuallyPeriodicWord(pre, per)
+        ref_pre, ref_per = pre, primitive_root(per)
+        while ref_pre and ref_pre[-1] == ref_per[-1]:
+            ref_pre, ref_per = ref_pre[:-1], ref_per[-1:] + ref_per[:-1]
+        assert (w.pre, w.per) == (ref_pre, ref_per)
+        assert w.alphabet_size == max(pre + per) + 1
 
 
 class TestIndexing:
@@ -184,6 +254,24 @@ class TestPat:
         expected = pat(EventuallyPeriodicWord(pre, per, N), n)
         convert = bytes if as_bytes else tuple
         assert _pattern(convert(pre), convert(per), n) == expected
+
+    @given(
+        st.lists(st.integers(0, 300), max_size=8),
+        st.lists(st.integers(0, 300), min_size=1, max_size=4),
+        st.integers(256, 400),
+        st.booleans(),
+        st.integers(1, 12),
+    )
+    @example([0, 1], [0], 256, True, 3)
+    @example([], [255], 256, False, 2)
+    def test_kernel_with_symbols_past_a_byte(self, pre, per, big, in_pre, n):
+        # a symbol past 255 keeps the kernel on tuple keys; they must equal the reference
+        pre, per = ((big, *pre), tuple(per)) if in_pre else (tuple(pre), (*per, big))
+        width = len(pre) + len(per)
+        full = pre + per * n
+        keys = [full[i : i + width] for i in range(n)]
+        expected = None if n > width else _rank(keys)
+        assert _pattern(pre, per, n) == expected
 
     @given(words(), st.integers(2, 6))
     def test_adjacent_rank_factors_are_primitive(self, w, n):
