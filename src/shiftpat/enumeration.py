@@ -19,7 +19,7 @@ from operator import gt
 
 from .permutations import _cycles, marked_inverse, marked_rc, reduce, theta_inv
 from .realization import _n_min
-from .words import EventuallyPeriodicWord, _pattern, is_primitive, psi
+from .words import EventuallyPeriodicWord, _order, _pattern, _ranks_of, is_primitive, psi
 
 __all__ = [
     "BoundExceededError",
@@ -220,27 +220,42 @@ def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> P
     return PatternRow(n=n, counts=dict(sorted(counts.items())))
 
 
+def _bases(prefix: bytes, left: int, missing: frozenset, k: int):
+    """Each extension of prefix by left symbols of 0..k-1 that holds every missing symbol.
+
+    Depth first and in increasing order; a prefix is dropped as soon as the
+    symbols still missing outnumber the positions left.
+    """
+    if len(missing) > left:
+        return
+    if not left:
+        yield prefix
+        return
+    for s in range(k):
+        yield from _bases(prefix + bytes((s,)), left - 1, missing - {s}, k)
+
+
 def _oracle_slice(args):
-    """The patterns of the tail-0 family words on exactly 0..k-1 whose base starts with first.
+    """The suffix orders of the tail-0 family words on exactly 0..k-1 whose base starts with first.
 
     A tail-0 family word is u p^(n-1) 0^inf: a base b = u p in {0..k-1}^(n-1),
     cut at every t = |p| in 1..n-1. Only the bases holding every symbol
-    1..k-1 are swept; the rest relabel into a smaller k.
+    1..k-1 are walked; the rest relabel into a smaller k.
     """
     n, k, first = args
     found = set()
-    needed = frozenset(range(1, k))
-    for rest in product(range(k), repeat=n - 2):
-        base = bytes((first, *rest))
-        if needed.issubset(base):
-            for t in range(1, n):
-                found.add(_pattern(base + base[n - 1 - t :] * (n - 2), b"\0", n))
+    for base in _bases(bytes((first,)), n - 2, frozenset(range(1, k)) - {first}, k):
+        for t in range(1, n):
+            found.add(_order(base + base[n - 1 - t :] * (n - 2), b"\0", n))
     found.discard(None)
     return found
 
 
 def _least_alphabets(n: int, N: int, workers: int) -> dict:
-    """{pi: N(pi)} for every pi with N(pi) <= N, from one sweep of the normalized tail-0 words.
+    """{order: N(pi)} for every pi with N(pi) <= N, from one sweep of the normalized tail-0 words.
+
+    A key is the suffix order _order returns, the inverse of pi; no key is
+    inverted here.
 
     Patterns depend only on how symbols compare, and a family word's tail is
     its least or largest symbol, so a word with k distinct symbols relabels,
@@ -252,16 +267,17 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
     Complementing every symbol within k (s -> k-1-s) reverses every suffix
     comparison, keeps ties and the symbols 0..k-1, and maps the words with
     tail k-1 onto the words with tail 0, so those realize exactly the
-    complements of what these realize. The jobs (k, first) therefore sweep
-    tail 0 only, one per first symbol, in increasing k, and a pattern and its
-    complement take the k of the first job that finds either.
+    complements of what these realize, whose suffix orders are these orders
+    reversed. The jobs (k, first) therefore sweep tail 0 only, one per first
+    symbol, in increasing k, and an order and its reversal take the k of the
+    first job that finds either.
     """
     jobs = [(n, k, first) for k in range(1, min(N, n) + 1) for first in range(k)]
     least = {}
     for (_, k, _), part in zip(jobs, _fan_out(_oracle_slice, jobs, workers)):
-        for pi in part:
-            if pi not in least:
-                least[pi] = least[tuple(n + 1 - v for v in pi)] = k  # complement(pi), unchecked
+        for o in part:
+            if o not in least:
+                least[o] = least[o[::-1]] = k
     return least
 
 
@@ -278,7 +294,7 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     """
     if n < 2 or N < 1:
         raise ValueError("need n >= 2 and N >= 1")
-    return frozenset(_least_alphabets(n, N, workers))
+    return frozenset(map(_ranks_of, _least_alphabets(n, N, workers)))
 
 
 def forbidden(n: int, N: int, workers: int = 1) -> frozenset:

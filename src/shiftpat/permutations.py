@@ -148,7 +148,7 @@ def reverse_complement(pi) -> tuple:
 
 
 def _positions(pi) -> list:
-    """inv[v] = 1-indexed position of value v; inv[0] unused."""
+    """inv[v] = 1-indexed position of value v; inv[0] unused, or inv[n] for values 0..n-1."""
     inv = [0] * (len(pi) + 1)
     for pos, v in enumerate(pi, start=1):
         inv[v] = pos

@@ -13,7 +13,7 @@ from functools import cache
 from math import lcm
 from operator import itemgetter
 
-from .permutations import _rank
+from .permutations import _positions
 
 LT, EQ, GT = -1, 0, 1
 
@@ -267,7 +267,18 @@ def pat(w: EventuallyPeriodicWord, n: int):
 
 
 def _pattern(pre, per, n: int):
-    """pat of the word pre . per^inf, for any preperiod and nonempty period.
+    """pat of the word pre . per^inf: _order, inverted."""
+    order = _order(pre, per, n)
+    return None if order is None else _ranks_of(order)
+
+
+def _ranks_of(order) -> tuple:
+    """The pattern whose suffixes, in increasing order, start at order (0-indexed)."""
+    return tuple(_positions(order)[:-1])
+
+
+def _order(pre, per, n: int):
+    """Starts 0..n-1 of the first n suffixes of pre . per^inf in increasing order, or None on a tie.
 
     pre and per are both tuples or both bytes, canonical or not; tuples whose
     symbols all lie below 256 are keyed as bytes. Suffix i is keyed by its
@@ -276,17 +287,36 @@ def _pattern(pre, per, n: int):
     that far agree on a whole period beyond |pre|, hence everywhere.
     Suffixes |pre| + 1 and |pre| + |per| + 1 are both per^inf, so any n
     past that width ties.
+
+    A word with period 0 is keyed by the slices q[i:] of q, pre with its
+    trailing zeros stripped, and no padding: 0 is the least symbol, so the
+    shorter of two slices that agree up to its end is the smaller, as the
+    padded words are. q ends in a nonzero symbol, so no two starts below
+    |q| tie, and every start from |q| on reads 0^inf: a tie exactly when
+    |q| + 1 < n.
     """
     width = len(pre) + len(per)
     if n > width:
         return None
-    full = pre + per * (-(-(n - 1) // len(per)) + 1)
-    if type(full) is tuple:
+    if type(pre) is tuple:
         try:  # bytes keys slice by memcpy and compare by memcmp
-            full = bytes(full)
+            pre, per = bytes(pre), bytes(per)
         except ValueError:  # a symbol past 255: keep the tuple keys
             pass
-    return _rank([full[i : i + width] for i in range(n)])
+    if per == b"\0":
+        q = pre.rstrip(b"\0")
+        if len(q) + 1 < n:
+            return None
+        return tuple(sorted(range(n), key=lambda i: q[i:]))
+    full = pre + per * (-(-(n - 1) // len(per)) + 1)
+    keys = [full[i : i + width] for i in range(n)]
+    order = sorted(range(n), key=keys.__getitem__)
+    prev = None
+    for i in order:
+        if keys[i] == prev:
+            return None
+        prev = keys[i]
+    return tuple(order)
 
 
 def word_complement(w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:

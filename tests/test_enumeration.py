@@ -33,7 +33,8 @@ from shiftpat import (
     reduce,
     solve_recurrence,
 )
-from shiftpat.enumeration import _alternate, _least_alphabets
+from shiftpat.enumeration import _alternate, _bases, _least_alphabets
+from shiftpat.permutations import inverse
 from shiftpat.words import _pattern
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +67,11 @@ MINIMAL_FORBIDDEN_6_4 = {
 
 def s_n(n):
     return permutations(range(1, n + 1))
+
+
+def least_patterns(n, N):
+    """The oracle's {order: k} map keyed by pattern: each suffix order inverted, by its definition."""
+    return {inverse(tuple(i + 1 for i in o)): k for o, k in _least_alphabets(n, N, 1).items()}
 
 
 def family_least(n, N):
@@ -295,17 +301,17 @@ class TestOracle:
         for n in range(2, 8):
             expected = {pi: n_min(pi) for pi in s_n(n)}
             assert {pi: n_min_marked(pi) for pi in s_n(n)} == expected
-            assert _least_alphabets(n, n, 1) == expected, n
+            assert least_patterns(n, n) == expected, n
             if n <= 6:
                 for N in range(1, n):
                     restricted = {pi: k for pi, k in expected.items() if k <= N}
-                    assert _least_alphabets(n, N, 1) == restricted, (n, N)
+                    assert least_patterns(n, N) == restricted, (n, N)
 
     def test_alphabets_past_the_length_add_nothing(self):
         # the whole family over N > n symbols, without the clamp
         for n in range(2, 7):
             for N in range(n + 1, n + 3):
-                assert _least_alphabets(n, N, 1) == family_least(n, N), (n, N)
+                assert least_patterns(n, N) == family_least(n, N), (n, N)
                 assert oracle_allowed(n, N) == oracle_allowed(n, n), (n, N)
 
     def test_half_sweep_equals_full_family(self):
@@ -314,13 +320,26 @@ class TestOracle:
         # one-symbol bases, and an odd k has self-complementary words
         for n in range(2, 8):
             for N in range(1, 6):
-                assert _least_alphabets(n, N, 1) == family_least(n, N), (n, N)
+                assert least_patterns(n, N) == family_least(n, N), (n, N)
+
+    def test_base_walk_is_the_filter_it_replaces(self):
+        # each job walks the bases that start with first and hold every symbol
+        # 1..k-1, once each and in increasing order, as filtering all of
+        # {0..k-1}^(n-2) after first would keep them
+        for n in range(2, 8):
+            for k in range(1, 6):
+                for first in range(k):
+                    walked = list(_bases(bytes((first,)), n - 2, frozenset(range(1, k)) - {first}, k))
+                    kept = [bytes((first, *rest)) for rest in product(range(k), repeat=n - 2)
+                            if set(range(1, k)) <= {first, *rest}]
+                    assert len(set(walked)) == len(walked), (n, k, first)
+                    assert walked == kept, (n, k, first)
 
     def test_each_job_sweeps_exactly_its_symbols(self, monkeypatch):
         # a word with fewer than k symbols repeats a smaller job; skipping it
         # changes no result, so only the words each job passes can show it
         words_by_job = []
-        sweep, kernel = enumeration._oracle_slice, enumeration._pattern
+        sweep, kernel = enumeration._oracle_slice, enumeration._order
 
         def job(args):
             words_by_job.append((args[1], set()))
@@ -331,7 +350,7 @@ class TestOracle:
             return kernel(pre, per, n)
 
         monkeypatch.setattr(enumeration, "_oracle_slice", job)
-        monkeypatch.setattr(enumeration, "_pattern", recorded)
+        monkeypatch.setattr(enumeration, "_order", recorded)
         _least_alphabets(6, 4, 1)
         assert [k for k, _ in words_by_job] == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
         for k, seen in words_by_job:
@@ -343,7 +362,7 @@ class TestOracle:
         # every symbol 1..k-1, counted by inclusion-exclusion over the
         # missing ones
         calls = Counter()
-        sweep, kernel = enumeration._oracle_slice, enumeration._pattern
+        sweep, kernel = enumeration._oracle_slice, enumeration._order
         alphabet = []
 
         def job(args):
@@ -355,7 +374,7 @@ class TestOracle:
             return kernel(*args)
 
         monkeypatch.setattr(enumeration, "_oracle_slice", job)
-        monkeypatch.setattr(enumeration, "_pattern", counted)
+        monkeypatch.setattr(enumeration, "_order", counted)
         _least_alphabets(n, N, 1)
         assert calls == {
             k: (n - 1) * sum((-1) ** j * math.comb(k - 1, j) * (k - j) ** (n - 1) for j in range(k))
@@ -502,7 +521,7 @@ class TestIndependence:
     # the closed forms: psi, its sums and the binomial inversion, unrolled or not
     CLOSED = ("_alternate", "_primitive_sum", "psi", "solve_recurrence")
     # the word-family oracle
-    ORACLE = ("_oracle_slice", "_least_alphabets", "_pattern")
+    ORACLE = ("_oracle_slice", "_bases", "_least_alphabets", "_order", "_pattern")
 
     @pytest.mark.parametrize("n, N", [(6, 4), (7, 3)])
     def test_oracle_reads_no_formula(self, monkeypatch, n, N):

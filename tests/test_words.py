@@ -22,7 +22,7 @@ from shiftpat import (
     word_complement,
 )
 from shiftpat.permutations import _rank
-from shiftpat.words import _pattern
+from shiftpat.words import _order, _pattern
 
 W = EventuallyPeriodicWord.from_string
 
@@ -204,6 +204,15 @@ def _sort_key(w):
     return w.unroll(64)
 
 
+def suffix_order(w, n):
+    """Starts 0..n-1 of w's first n suffixes sorted by compare, or None when two are EQ."""
+    sufs = [w.suffix(i) for i in range(1, n + 1)]
+    order = sorted(range(n), key=cmp_to_key(lambda i, j: compare(sufs[i], sufs[j])))
+    if any(compare(sufs[i], sufs[j]) == EQ for i, j in zip(order, order[1:])):
+        return None
+    return tuple(order)
+
+
 class TestPat:
     def test_worked_length_seven(self):
         assert pat(W("2102212210(0)"), 7) == (4, 2, 1, 7, 5, 3, 6)
@@ -225,9 +234,8 @@ class TestPat:
     @given(words(max_pre=8, max_per=5, alphabet=st.integers(1, 4)), st.integers(1, 12))
     def test_ranks_match_suffix_order(self, w, n):
         # the definition: sort the suffixes by compare; undefined iff two are EQ
-        sufs = [w.suffix(i) for i in range(1, n + 1)]
-        order = sorted(range(n), key=cmp_to_key(lambda i, j: compare(sufs[i], sufs[j])))
-        if any(compare(sufs[i], sufs[j]) == EQ for i, j in zip(order, order[1:])):
+        order = suffix_order(w, n)
+        if order is None:
             assert pat(w, n) is None
         else:
             assert pat(w, n) == tuple(order.index(i) + 1 for i in range(n))
@@ -254,6 +262,24 @@ class TestPat:
         expected = pat(EventuallyPeriodicWord(pre, per, N), n)
         convert = bytes if as_bytes else tuple
         assert _pattern(convert(pre), convert(per), n) == expected
+        # the order kernel is pat inverted: the start of rank r is at position r - 1
+        order = _order(convert(pre), convert(per), n)
+        if expected is None:
+            assert order is None
+        else:
+            assert tuple(expected[i] for i in order) == tuple(range(1, n + 1))
+
+    @given(st.lists(st.integers(0, 3), max_size=10), st.integers(1, 12), st.booleans())
+    @example([0, 0, 0], 1, True)  # all zeros: q is empty, only n = 1 is defined
+    @example([0, 0, 0], 2, False)
+    @example([2, 1, 0, 0], 3, True)  # trailing zeros in pre
+    @example([1, 0, 2], 4, True)  # |q| + 1 == n: the last key is empty, not a tie
+    @example([1, 0, 2], 5, False)  # |q| + 1 < n: starts 3 and 4 both read 0^inf
+    def test_zero_tail_order_matches_suffix_comparison(self, pre, n, as_bytes):
+        # the zero-tail path keys unpadded slices; the reference compares the words
+        convert = bytes if as_bytes else tuple
+        expected = suffix_order(EventuallyPeriodicWord(pre, (0,), 4), n)
+        assert _order(convert(pre), convert((0,)), n) == expected
 
     @given(
         st.lists(st.integers(0, 300), max_size=8),
