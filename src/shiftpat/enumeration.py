@@ -17,9 +17,9 @@ from itertools import permutations as _all_permutations, product
 from math import comb
 from operator import gt
 
-from .permutations import _cycles, marked_inverse, marked_rc, reduce, theta_inv
+from .permutations import _cycles, _ranks_of, marked_inverse, marked_rc, reduce, theta_inv
 from .realization import _n_min
-from .words import EventuallyPeriodicWord, _order, _pattern, _ranks_of, is_primitive, psi
+from .words import EventuallyPeriodicWord, _order, is_primitive, pat, psi
 
 __all__ = [
     "BoundExceededError",
@@ -377,7 +377,7 @@ def omega_census(n: int, N: int) -> OmegaCensus:
                 continue
             for u in product(range(N), repeat=n - t - 1):
                 w = EventuallyPeriodicWord(u + p * (n - 1), (0,), N)
-                words[w] = _pattern(w.pre, w.per, n)
+                words[w] = pat(w, n)
     buckets = {j: 0 for j in range(N - 1)}
     theta_buckets = {j: 0 for j in range(N - 1)}
     undefined = 0
@@ -392,26 +392,27 @@ def omega_census(n: int, N: int) -> OmegaCensus:
     g_row, h_row = count_row(n, N, "g"), count_row(n, N, "h")
     buckets_predicted = {j: comb(n + j - 1, j) * g_row[N - 2 - j] for j in range(N - 1)}
     theta_buckets_predicted = {j: comb(n + j - 1, j) * h_row[N - 2 - j] for j in range(N - 1)}
-    census = OmegaCensus(
+    total, total_predicted = len(words), _primitive_sum(n, N)
+    undefined_predicted = N ** (n - 2)
+    theta_total, theta_total_predicted = sum(theta_buckets.values()), (N - 1) * N ** (n - 2)
+    return OmegaCensus(
         n=n,
         N=N,
-        total=len(words),
-        total_predicted=_primitive_sum(n, N),
+        total=total,
+        total_predicted=total_predicted,
         undefined=undefined,
-        undefined_predicted=N ** (n - 2),
+        undefined_predicted=undefined_predicted,
         buckets=buckets,
         buckets_predicted=buckets_predicted,
-        theta_total=sum(theta_buckets.values()),
-        theta_total_predicted=(N - 1) * N ** (n - 2),
+        theta_total=theta_total,
+        theta_total_predicted=theta_total_predicted,
         theta_buckets=theta_buckets,
         theta_buckets_predicted=theta_buckets_predicted,
-        ok=False,
+        ok=(
+            total == total_predicted
+            and undefined == undefined_predicted
+            and buckets == buckets_predicted
+            and theta_total == theta_total_predicted
+            and theta_buckets == theta_buckets_predicted
+        ),
     )
-    census.ok = (
-        census.total == census.total_predicted
-        and census.undefined == census.undefined_predicted
-        and census.buckets == census.buckets_predicted
-        and census.theta_total == census.theta_total_predicted
-        and census.theta_buckets == census.theta_buckets_predicted
-    )
-    return census

@@ -58,26 +58,19 @@ def reduce(values) -> tuple:
     >>> reduce([10, 20])
     (1, 2)
     """
-    ranks = _rank(tuple(values))
-    if ranks is None:
+    order = _order_of(tuple(values))
+    if order is None:
         raise ValueError("reduction undefined: repeated value")
-    return ranks
+    return _ranks_of(order)
 
 
-_NO_KEY = object()
-
-
-def _rank(keys):
-    """The rank of each key, smallest 1, or None when two keys tie."""
+def _order_of(keys):
+    """The indices 0..len(keys)-1 in increasing key order, or None when two keys tie."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranks = [0] * len(keys)
-    prev = _NO_KEY
-    for r, idx in enumerate(order, start=1):
-        if keys[idx] == prev:
+    for i, j in zip(order, order[1:]):
+        if keys[i] == keys[j]:
             return None
-        prev = keys[idx]
-        ranks[idx] = r
-    return tuple(ranks)
+    return tuple(order)
 
 
 def descent_set(seq) -> frozenset:
@@ -153,6 +146,11 @@ def _positions(pi) -> list:
     for pos, v in enumerate(pi, start=1):
         inv[v] = pos
     return inv
+
+
+def _ranks_of(order) -> tuple:
+    """The ranks, smallest 1, of the items that order lists in increasing order (0-indexed)."""
+    return tuple(_positions(order)[:-1])
 
 
 def inverse(pi) -> tuple:

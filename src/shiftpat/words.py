@@ -13,7 +13,7 @@ from functools import cache
 from math import lcm
 from operator import itemgetter
 
-from .permutations import _positions
+from .permutations import _order_of, _ranks_of
 
 LT, EQ, GT = -1, 0, 1
 
@@ -263,18 +263,8 @@ def pat(w: EventuallyPeriodicWord, n: int):
     """
     if n < 1:
         raise ValueError("pattern length must be >= 1")
-    return _pattern(w.pre, w.per, n)
-
-
-def _pattern(pre, per, n: int):
-    """pat of the word pre . per^inf: _order, inverted."""
-    order = _order(pre, per, n)
+    order = _order(w.pre, w.per, n)
     return None if order is None else _ranks_of(order)
-
-
-def _ranks_of(order) -> tuple:
-    """The pattern whose suffixes, in increasing order, start at order (0-indexed)."""
-    return tuple(_positions(order)[:-1])
 
 
 def _order(pre, per, n: int):
@@ -309,14 +299,7 @@ def _order(pre, per, n: int):
             return None
         return tuple(sorted(range(n), key=lambda i: q[i:]))
     full = pre + per * (-(-(n - 1) // len(per)) + 1)
-    keys = [full[i : i + width] for i in range(n)]
-    order = sorted(range(n), key=keys.__getitem__)
-    prev = None
-    for i in order:
-        if keys[i] == prev:
-            return None
-        prev = keys[i]
-    return tuple(order)
+    return _order_of([full[i : i + width] for i in range(n)])
 
 
 def word_complement(w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:

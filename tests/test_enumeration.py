@@ -34,8 +34,8 @@ from shiftpat import (
     solve_recurrence,
 )
 from shiftpat.enumeration import _alternate, _bases, _least_alphabets
-from shiftpat.permutations import inverse
-from shiftpat.words import _pattern
+from shiftpat.permutations import _ranks_of, inverse
+from shiftpat.words import _order
 
 GOLDEN = Path(__file__).parent / "golden"
 SHIFTPAT_MODULES = (shiftpat, conjectures, enumeration, permutations_module, realization, words)
@@ -86,8 +86,8 @@ def family_least(n, N):
         for x in {0, N - 1}:
             k = len(set(base) | {x})
             for t in range(1, n):
-                pi = _pattern(base + base[n - 1 - t :] * (n - 2), (x,), n)
-                if pi is not None and k < least.get(pi, n + 1):
+                order = _order(base + base[n - 1 - t :] * (n - 2), (x,), n)
+                if order is not None and k < least.get(pi := _ranks_of(order), n + 1):
                     least[pi] = k
     return least
 
@@ -521,7 +521,7 @@ class TestIndependence:
     # the closed forms: psi, its sums and the binomial inversion, unrolled or not
     CLOSED = ("_alternate", "_primitive_sum", "psi", "solve_recurrence")
     # the word-family oracle
-    ORACLE = ("_oracle_slice", "_bases", "_least_alphabets", "_order", "_pattern")
+    ORACLE = ("_oracle_slice", "_bases", "_least_alphabets", "_order")
 
     @pytest.mark.parametrize("n, N", [(6, 4), (7, 3)])
     def test_oracle_reads_no_formula(self, monkeypatch, n, N):

@@ -3,7 +3,7 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shiftpat import (
     check_permutation,
@@ -49,9 +49,15 @@ class TestReduce:
     def test_pair(self):
         assert reduce((10, 20)) == (1, 2)
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="reduction undefined"):
-            reduce((1, 3, 1))
+    @given(st.lists(st.integers(-4, 4), max_size=8))
+    @example([1, 3, 1])
+    def test_duplicates_rejected(self, values):
+        # the tie rule: the reduction is undefined exactly when a value repeats
+        if len(set(values)) < len(values):
+            with pytest.raises(ValueError, match="reduction undefined"):
+                reduce(values)
+        else:
+            assert sorted(reduce(values)) == list(range(1, len(values) + 1))
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True))
     def test_idempotent_and_order_isomorphic(self, values):

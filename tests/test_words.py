@@ -21,8 +21,7 @@ from shiftpat import (
     psi,
     word_complement,
 )
-from shiftpat.permutations import _rank
-from shiftpat.words import _order, _pattern
+from shiftpat.words import _order
 
 W = EventuallyPeriodicWord.from_string
 
@@ -259,15 +258,16 @@ class TestPat:
         # the kernel takes the raw (pre, per) the oracle builds, not the canonical form
         N, head, per = drawn
         pre = (head + per * repeats)[-10:]
-        expected = pat(EventuallyPeriodicWord(pre, per, N), n)
+        w = EventuallyPeriodicWord(pre, per, N)
+        expected = suffix_order(w, n)
         convert = bytes if as_bytes else tuple
-        assert _pattern(convert(pre), convert(per), n) == expected
-        # the order kernel is pat inverted: the start of rank r is at position r - 1
-        order = _order(convert(pre), convert(per), n)
+        assert _order(convert(pre), convert(per), n) == expected
+        # pat of the canonical word is that order inverted: the start of rank r is at position r - 1
+        pi = pat(w, n)
         if expected is None:
-            assert order is None
+            assert pi is None
         else:
-            assert tuple(expected[i] for i in order) == tuple(range(1, n + 1))
+            assert tuple(pi[i] for i in expected) == tuple(range(1, n + 1))
 
     @given(st.lists(st.integers(0, 3), max_size=10), st.integers(1, 12), st.booleans())
     @example([0, 0, 0], 1, True)  # all zeros: q is empty, only n = 1 is defined
@@ -296,8 +296,17 @@ class TestPat:
         width = len(pre) + len(per)
         full = pre + per * n
         keys = [full[i : i + width] for i in range(n)]
-        expected = None if n > width else _rank(keys)
-        assert _pattern(pre, per, n) == expected
+        # each key ranked by counting the smaller keys, undefined when two are equal
+        if n > width or len(set(keys)) < n:
+            expected = None
+        else:
+            expected = tuple(sum(other < key for other in keys) + 1 for key in keys)
+        assert pat(EventuallyPeriodicWord(pre, per), n) == expected
+        order = _order(pre, per, n)
+        if expected is None:
+            assert order is None
+        else:
+            assert tuple(expected[i] for i in order) == tuple(range(1, n + 1))
 
     @given(words(), st.integers(2, 6))
     def test_adjacent_rank_factors_are_primitive(self, w, n):
