@@ -327,16 +327,26 @@ def marked_inverse(mc) -> tuple:
     return tuple(out)
 
 
+def _entries(text: str, marked: bool = False) -> tuple:
+    """The entries of a permutation literal, or of a marked cycle literal with `*` read as 0.
+
+    Entries are unsigned ASCII decimal numbers split on commas and spaces;
+    a permutation written as one run of digits has one digit per entry
+    (the n <= 9 shorthand). Anything else raises "not a ... literal".
+    """
+    kind = "marked cycle" if marked else "permutation"
+    tokens = text.replace(",", " ").split()
+    if not marked and len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
+        tokens = list(tokens[0])
+    # on ASCII text isdigit() accepts exactly 0-9: no sign, `_` or other digits
+    if not text.isascii() or not all(t.isdigit() or (marked and t == "*") for t in tokens):
+        raise ValueError(f"not a {kind} literal: {text!r}")
+    return tuple(0 if t == "*" else int(t) for t in tokens)
+
+
 def parse_permutation(text: str) -> tuple:
     """Parse `4 3 6 1 5 2`, `4,3,6,1,5,2` or the compact `436152` (n <= 9)."""
-    tokens = text.replace(",", " ").split()
-    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
-        tokens = list(tokens[0])
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError:
-        raise ValueError(f"not a permutation literal: {text!r}") from None
-    return check_permutation(values)
+    return check_permutation(_entries(text))
 
 
 def format_permutation(pi) -> str:
@@ -345,12 +355,7 @@ def format_permutation(pi) -> str:
 
 def parse_marked(text: str) -> tuple:
     """Parse a marked cycle literal such as `5 3 6 1 7 4 * 9 2`."""
-    tokens = text.replace(",", " ").split()
-    try:
-        mc = tuple(0 if t == "*" else int(t) for t in tokens)
-    except ValueError:
-        raise ValueError(f"not a marked cycle literal: {text!r}") from None
-    return _check_marked_shape(mc)
+    return _check_marked_shape(_entries(text, marked=True))
 
 
 def format_marked(mc) -> str:

@@ -2,9 +2,10 @@
 
 The two formulas for N(pi) are implemented independently: one through
 the strict-inequality value set A(pi) plus the 0/1 correction Delta,
-one through descents of the marked cycle theta(pi). The forced prefix
-w_1..w_{n-1} and the witness word variants A-F are built from the
-inequality chain.
+one through descents of the marked cycle theta(pi). One walk over the
+values 1..n gives the forced prefix w_1..w_{n-1}, A(pi) and N(pi) to
+every entry point of the first formula; the witness word variants A-F
+are built from that prefix.
 """
 
 from __future__ import annotations
@@ -47,18 +48,7 @@ def a_set(pi) -> frozenset:
     >>> sorted(a_set((4, 3, 6, 1, 5, 2)))
     [3, 4, 5]
     """
-    return _a_set(*_checked(pi))
-
-
-def _a_set(pi, inv) -> frozenset:
-    n = len(pi)
-    out = set()
-    for a in range(1, n):
-        i, j = inv[a], inv[a + 1]
-        # pi[i] (0-based) is the entry at position i+1
-        if i < n and j < n and pi[i] > pi[j]:
-            out.add(a)
-    return frozenset(out)
+    return frozenset(_walk(*_checked(pi))[1])
 
 
 def delta(pi):
@@ -101,8 +91,7 @@ def n_min(pi) -> int:
 
 def _n_min(pi) -> int:
     """n_min of a permutation tuple of length >= 2 that is trusted to be valid."""
-    inv = _positions(pi)
-    return 1 + len(_a_set(pi, inv)) + _delta(pi, inv)[0]
+    return _walk(pi, _positions(pi))[4]
 
 
 def n_min_marked(pi) -> int:
@@ -139,10 +128,8 @@ def explain_nmin(pi) -> NminExplanation:
     mc = _theta(pi)
     if len(pi) == 1:
         return NminExplanation(1, frozenset(), 0, None, mc, 0, 0)
-    inv = _positions(pi)
-    strict = _a_set(pi, inv)
-    d, case = _delta(pi, inv)
-    return NminExplanation(1 + len(strict) + d, strict, d, case, mc, marked_des(mc), marked_eps(mc))
+    _, strict, d, case, N = _walk(pi, _positions(pi))
+    return NminExplanation(N, frozenset(strict), d, case, mc, marked_des(mc), marked_eps(mc))
 
 
 @dataclass(frozen=True)
@@ -164,12 +151,12 @@ class RequiredChain:
 
 def required_chain(pi) -> RequiredChain:
     pi, inv = _checked(pi)
-    case = _delta(pi, inv)[1]
+    _, a_values, _, case, _ = _walk(pi, inv)
     n = len(pi)
     b = pi[-1]
     order = tuple(inv[v] for v in range(1, n + 1) if v != b)
     # value v sits at chain slot v (below b) or v-1 (above b)
-    strict = {a if a < b else a - 1 for a in _a_set(pi, inv)}
+    strict = {a if a < b else a - 1 for a in a_values}
     if case == "I":
         strict.add(b - 1)
     if b == 1:
@@ -190,32 +177,34 @@ def base_assignment(pi) -> tuple:
     >>> base_assignment((4, 3, 6, 1, 5, 2))
     (1, 0, 3, 0, 2)
     """
-    pi, inv = _checked(pi)
-    return _base_assignment(pi, inv, _delta(pi, inv)[1])[0]
+    return _walk(*_checked(pi))[0]
 
 
-def _base_assignment(pi, inv, case) -> tuple:
-    """(w_1..w_{n-1}, |A(pi)|) in one walk over the values 1..n, given Delta's case tag.
+def _walk(pi, inv) -> tuple:
+    """(w_1..w_{n-1}, A(pi) as a list, Delta, its case, N(pi)) from one walk over the values 1..n.
 
-    The slot of each value v but pi(n) gets the current symbol; the chain
-    then steps up when v is in A(pi), or in case I when v = pi(n) - 1.
+    The slot of each value v gets the current symbol, starting from 0
+    (from 1 in case II). The chain then steps up when v is in A(pi), that
+    is when the positions i, j of v, v+1 both precede slot n and the entry
+    after v exceeds the entry after v+1, or in case I when v = pi(n) - 1.
     """
     n = len(pi)
-    b = pi[-1]
-    w = [0] * (n + 1)
+    d, case = _delta(pi, inv)
+    gap = pi[-1] - 1 if case == "I" else 0
+    w = [0] * (n + 1)  # w[n], the slot of pi(n), is left out of the prefix
     value = 1 if case == "II" else 0
-    strict = 0
-    for v in range(1, n + 1):
-        i = inv[v]
-        if i == n:
-            continue
+    strict = []
+    for v in range(1, n):
+        i, j = inv[v], inv[v + 1]
         w[i] = value
-        if v < n and inv[v + 1] < n and pi[i] > pi[inv[v + 1]]:
-            strict += 1
+        # pi[i] (0-based) is the entry at position i+1
+        if i < n and j < n and pi[i] > pi[j]:
+            strict.append(v)
             value += 1
-        elif case == "I" and v == b - 1:
+        elif v == gap:
             value += 1
-    return tuple(w[1:n]), strict
+    w[inv[n]] = value
+    return tuple(w[1:n]), strict, d, case, 1 + len(strict) + d
 
 
 @dataclass(frozen=True)
@@ -254,7 +243,7 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     pi, inv = _checked(pi)
     n = len(pi)
     b = pi[-1]
-    d, case = _delta(pi, inv)
+    case = _delta(pi, inv)[1]
     if variant is None:
         variant = "A" if pi[-2] > b else "B"
     variant = str(variant).upper()
@@ -274,8 +263,7 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
         if reps < 1 or (reps - 1) * (n - k) < n - 2:
             raise ValueError(f"m={reps} is below the repetition bound for k={k}")
     # pi and the variant are valid from here on: build the word
-    prefix, strict = _base_assignment(pi, inv, case)
-    N = 1 + strict + d
+    prefix, _, _, _, N = _walk(pi, inv)
     if k is not None:
         prefix = prefix[: k - 1] + prefix[k - 1 :] * reps
     elif variant in ("E", "F"):

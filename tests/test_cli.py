@@ -1,15 +1,18 @@
 """End-to-end checks of the command line: exact text, JSON shape, exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftpat import cli, enumeration
 from shiftpat.cli import EXIT_BOUND, EXIT_MALFORMED, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, main
@@ -68,8 +71,9 @@ class TestNmin:
 
     def test_digit_shorthand_matches_spaced_form(self, capsys):
         _, out_digits, _ = run_cli(capsys, "nmin", "436152")
+        _, out_commas, _ = run_cli(capsys, "nmin", "4,3,6,1,5,2")
         _, out_spaced, _ = run_cli(capsys, "nmin", "4 3 6 1 5 2")
-        assert out_digits == out_spaced
+        assert out_digits == out_commas == out_spaced
 
     def test_length_one(self, capsys):
         code, out, err = run_cli(capsys, "nmin", "1")
@@ -82,6 +86,13 @@ class TestNmin:
         assert code == EXIT_MALFORMED
         assert out == ""
         assert err == "error: not a permutation of 1..3: (4, 4, 1)\n"
+
+    @pytest.mark.parametrize("text", ["+1", "٣١٢", "１ ２", "1_0 2"])
+    def test_only_ascii_digits(self, capsys, text):
+        code, out, err = run_cli(capsys, "nmin", text)
+        assert code == EXIT_MALFORMED
+        assert out == ""
+        assert err == f"error: not a permutation literal: {text!r}\n"
 
     def test_python_dash_m(self):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -470,3 +481,44 @@ class TestParsing:
         code, out, _ = run_cli(capsys, "table", "3", "--threads", "1")
         assert code == EXIT_OK
         assert out == "n\tN\ta_nN\n2\t2\t2\n3\t2\t6\n"
+
+
+# Literal text for the fuzz test: ASCII digits, the separators and brackets of
+# the permutation and word grammars, signs, `_` and a few non-ASCII digits,
+# mixed with well-formed permutation and word literals so that some succeed.
+LITERAL_TEXT = st.text(alphabet="0123456789 ,()[]*+-_\u0663\uff11\u00b2", max_size=14)
+PERMUTATION_TEXT = st.one_of(
+    LITERAL_TEXT,
+    st.builds(
+        lambda pi, sep: sep.join(map(str, pi)),
+        st.integers(2, 9).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.sampled_from(["", " ", ","]),
+    ),
+)
+WORD_TEXT = st.one_of(
+    LITERAL_TEXT,
+    st.builds("{}({})".format, st.text("0123", max_size=8), st.text("0123", min_size=1, max_size=3)),
+)
+
+
+class TestFuzz:
+    """Commands that start no sweep, on arbitrary literal text: an exit code, never a traceback."""
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.tuples(st.sampled_from(["nmin", "witness"]), PERMUTATION_TEXT),
+            st.tuples(st.just("pat"), WORD_TEXT, st.integers(1, 64).map(str)),
+        )
+    )
+    def test_literals_end_in_an_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_MALFORMED)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == (0 if code == EXIT_OK else 1), err
+        if code != EXIT_OK:
+            assert out == ""
+        assert "Traceback" not in out + err

@@ -516,7 +516,7 @@ class TestIndependence:
     """Each method computes its row with every other method's kernel poisoned, at one worker."""
 
     # the A/Delta and marked-cycle formulas for N(pi), and the brute sweep over them
-    FORMULAS = ("_n_min", "n_min", "n_min_marked", "theta", "_theta", "_a_set", "_delta",
+    FORMULAS = ("_n_min", "n_min", "n_min_marked", "theta", "_theta", "_walk", "_delta",
                 "marked_des", "marked_eps", "_nmin_slice", "enumerate_by_nmin")
     # the closed forms: psi, its sums and the binomial inversion, unrolled or not
     CLOSED = ("_alternate", "_primitive_sum", "psi", "solve_recurrence")
@@ -534,7 +534,7 @@ class TestIndependence:
     @pytest.mark.parametrize("n, N", [(6, 5), (7, 6)])
     def test_brute_reads_neither_closed_form_nor_oracle(self, monkeypatch, n, N):
         row = count_row(n, N)
-        poison(monkeypatch, "_n_min", "_a_set", "_delta", *self.CLOSED, *self.ORACLE)
+        poison(monkeypatch, "_n_min", "_walk", "_delta", *self.CLOSED, *self.ORACLE)
         assert count_row(n, N, method="brute", workers=1) == row
 
     @pytest.mark.parametrize("method, other", [("closed", "solve_recurrence"),

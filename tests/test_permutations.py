@@ -254,6 +254,24 @@ class TestTextFormats:
             with pytest.raises(ValueError):
                 parse_permutation(bad)
 
+    # signs, digit separators and non-ASCII digits (str.isdigit accepts the last)
+    NOT_ASCII_DIGITS = ["+1", "-1", "1_0 2", "٣١٢", "１ ２", "2 +1", "²1"]
+
+    @pytest.mark.parametrize("bad", NOT_ASCII_DIGITS)
+    def test_only_ascii_digits_in_a_permutation(self, bad):
+        with pytest.raises(ValueError, match="not a permutation literal"):
+            parse_permutation(bad)
+
+    @pytest.mark.parametrize("bad", NOT_ASCII_DIGITS + ["* +1", "٢ *", "1_0 * 2"])
+    def test_only_ascii_digits_in_a_marked_cycle(self, bad):
+        with pytest.raises(ValueError, match="not a marked cycle literal"):
+            parse_marked(bad)
+
+    def test_marked_cycle_has_no_digit_shorthand(self):
+        assert parse_marked("2 *") == (2, 0)
+        with pytest.raises(ValueError, match="not a marked cycle literal"):
+            parse_marked("2*")
+
     def test_format_round_trip(self):
         for pi in s_n(5):
             assert parse_permutation(format_permutation(pi)) == pi

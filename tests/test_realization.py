@@ -69,6 +69,20 @@ class TestASetAndDelta:
         for n in range(2, 7):
             assert a_set(tuple(range(1, n + 1))) == frozenset()
 
+    def test_matches_the_definition_exhaustively(self):
+        # a is in A(pi) iff the positions i, j of a, a+1 both precede slot n
+        # and the entry after position i exceeds the entry after position j
+        for n in range(2, 8):
+            for pi in s_n(n):
+                inv = {v: pos for pos, v in enumerate(pi, start=1)}
+                expected = set()
+                for a in range(1, n):
+                    i, j = inv[a], inv[a + 1]
+                    # pi[i] (0-based) is the entry at position i+1
+                    if i < n and j < n and pi[i] > pi[j]:
+                        expected.add(a)
+                assert a_set(pi) == frozenset(expected), pi
+
     def test_delta_cases(self):
         assert delta((4, 3, 6, 1, 5, 2)) == (0, None)
         assert delta((8, 9, 3, 1, 4, 6, 2, 7, 5)) == (1, "I")
@@ -229,7 +243,7 @@ class TestBaseAssignment:
 
     def test_one_walk_matches_the_chain(self):
         # the one walk over the values equals the walk over required_chain's
-        # slots and strict gaps, and counts A(pi) on the way
+        # slots and strict gaps
         for n in range(2, 8):
             for pi in s_n(n):
                 ch = required_chain(pi)
@@ -239,10 +253,7 @@ class TestBaseAssignment:
                     if idx > 1 and idx - 1 in ch.strict_after:
                         value += 1
                     w[pos] = value
-                inv = permutations_module._positions(pi)
-                prefix, strict = realization._base_assignment(pi, inv, delta(pi)[1])
-                assert prefix == tuple(w[1:n]) == base_assignment(pi)
-                assert strict == len(a_set(pi))
+                assert base_assignment(pi) == tuple(w[1:n]), pi
 
 
 class TestWitness:
@@ -322,8 +333,7 @@ class TestWitness:
         def unreachable(*args):
             raise AssertionError("built a word for a rejected request")
 
-        monkeypatch.setattr(realization, "_base_assignment", unreachable)
-        monkeypatch.setattr(realization, "_a_set", unreachable)
+        monkeypatch.setattr(realization, "_walk", unreachable)
         with pytest.raises(ValueError, match=message):
             witness(pi, variant, m)
 
