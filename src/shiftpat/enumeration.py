@@ -187,22 +187,26 @@ def _nmin_slice(args):
 
     theta maps S_n one-to-one onto the marked cycles, so every pi is one
     n-cycle sigma with one slot p erased, and N(pi) = 1 + des + eps there
-    (des counts the descents left after deleting slot p). The cycle's
-    descent bits d are read once; deleting slot p removes d[p-1] and d[p]
-    and compares sigma_{p-1} with sigma_{p+1} instead. eps is 1 only for
-    the mark shapes [*, 1, ...] and [..., n, *].
+    (des counts the descents left after deleting slot p). With the descent
+    bits d[i] = [s_i > s_{i+1}] and top = 1 + D, D = sum(d), mark p gives
+    N_p = top - c_p + eps_p, c_p = d[p-1] + d[p] - [s_{p-1} > s_{p+1}]:
+    deleting slot p removes two descent bits and compares its neighbours.
+    c_p is 0 or 1 (0 when both bits are 0, 1 when both are 1, and
+    1 - [s_{p-1} > s_{p+1}] when one is), so a cycle's n marks take only
+    the two values top - 1 and top. The pads make d[0] = d[n] = 0, so
+    sum_p c_p = 2D - G with G = #{i : s_i > s_{i+2}}. eps is 1 only for the
+    mark shapes [*, 1, ...] (then c_1 = [s_1 > s_2] = 1) and [..., n, *]
+    (then c_n = [s_{n-1} > s_n] = 1), so each moves one mark from top - 1
+    to top. A cycle costs two C-level passes, for D and G.
     """
     n, second = args
-    counts = Counter()
-    marks = range(1, n + 1)
+    tally = [0] * (n + 1)  # tally[N]; D <= n - 1, so top <= n
     for s in _cycles(n, second):
-        d = list(map(gt, s, s[1:]))  # d[i] = [s_i > s_{i+1}]; the pads make d[0] = d[n] = 0
-        top = 1 + sum(d)
-        N = [top - d[p - 1] - d[p] + (s[p - 1] > s[p + 1]) for p in marks]
-        N[0] += s[2] == 1
-        N[-1] += s[n - 1] == n
-        counts.update(N)
-    return counts
+        D = sum(map(gt, s, s[1:]))
+        ones = 2 * D - sum(map(gt, s, s[2:])) - (s[2] == 1) - (s[n - 1] == n)  # marks at top - 1
+        tally[D + 1] += n - ones
+        tally[D] += ones
+    return Counter({N: count for N, count in enumerate(tally) if count})
 
 
 def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> PatternRow:
@@ -212,9 +216,9 @@ def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> P
     formula; the A/Delta formula is not read. Fans out over sigma(1) when
     workers > 1; the merged result is identical for any worker count.
     """
-    check_bound(n, bound)
     if n < 1:
         raise ValueError("need n >= 1")
+    check_bound(n, bound)
     jobs = [(n, second) for second in range(min(n, 2), n + 1)]  # sigma(1) = 1 only when n = 1
     counts = sum(_fan_out(_nmin_slice, jobs, workers), Counter())
     return PatternRow(n=n, counts=dict(sorted(counts.items())))

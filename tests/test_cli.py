@@ -331,6 +331,10 @@ class TestConjectureCommands:
         assert code == EXIT_BOUND
         assert err == "error: n=12 exceeds the sweep bound 9\n"
 
+    def test_conjecture1_domain_before_bound(self, capsys):
+        code, out, err = run_cli(capsys, "conjecture1", "-3", "--bound", "-5")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: need n >= 1\n")
+
     def test_conjecture1_bound_override(self, capsys):
         code, _, _ = run_cli(capsys, "conjecture1", "4", "--bound", "4")
         assert code == EXIT_OK

@@ -83,6 +83,8 @@ class TestConjecture1:
             check_conjecture1(10)
         with pytest.raises(ValueError):
             check_conjecture1(0)
+        with pytest.raises(ValueError, match="need n >= 1"):  # the domain is tested first
+            check_conjecture1(-3, bound=-5)
 
     def test_both_sides_match_direct_sweeps(self):
         for n in range(1, 9):

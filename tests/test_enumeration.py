@@ -33,8 +33,8 @@ from shiftpat import (
     reduce,
     solve_recurrence,
 )
-from shiftpat.enumeration import _alternate, _bases, _least_alphabets
-from shiftpat.permutations import _ranks_of, inverse
+from shiftpat.enumeration import _alternate, _bases, _least_alphabets, _nmin_slice
+from shiftpat.permutations import _cycles, _ranks_of, inverse
 from shiftpat.words import _order
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +90,25 @@ def family_least(n, N):
                 if order is not None and k < least.get(pi := _ranks_of(order), n + 1):
                     least[pi] = k
     return least
+
+
+def marks_slice(n, second):
+    """Counter of N(pi) over the cycles with sigma(1) = second, one mark at a time.
+
+    The reference for the brute sweep's two-values-per-cycle tally: deleting
+    slot p removes the descent bits d[p-1] and d[p] and compares sigma_{p-1}
+    with sigma_{p+1} instead; eps adds 1 to the mark shapes [*, 1, ...] and
+    [..., n, *].
+    """
+    counts = Counter()
+    for s in _cycles(n, second):
+        d = [s[i] > s[i + 1] for i in range(n + 1)]
+        top = 1 + sum(d)
+        N = [top - d[p - 1] - d[p] + (s[p - 1] > s[p + 1]) for p in range(1, n + 1)]
+        N[0] += s[2] == 1
+        N[-1] += s[n - 1] == n
+        counts.update(N)
+    return counts
 
 
 class TestClosedForms:
@@ -255,7 +274,17 @@ class TestBruteForce:
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             enumerate_by_nmin(10)
-        assert enumerate_by_nmin(10, bound=10).counts[2] == count_binary(10)
+        with pytest.raises(ValueError, match="need n >= 1"):  # the domain is tested first
+            enumerate_by_nmin(-1, bound=-5)
+        counts = enumerate_by_nmin(10, bound=10).counts
+        assert counts[2] == count_binary(10)
+        assert tuple(counts.values()) == count_row(10, 9)
+        assert list(counts) == list(range(2, 10))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_slice_matches_the_mark_loop(self, n):
+        for second in range(min(n, 2), n + 1):
+            assert _nmin_slice((n, second)) == marks_slice(n, second), (n, second)
 
     def test_marked_sweep_matches_a_delta_formula(self):
         # the brute row reads only the marked-cycle formula; this is the A/Delta side
