@@ -280,11 +280,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return EXIT_USAGE if code == 2 else int(code)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_USAGE if exc.code == 2 else exc.code
     try:
         given, result, details, lines = args.handler(args)
     except ValueError as exc:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import shiftpat
 from shiftpat import cli, enumeration
 from shiftpat.cli import EXIT_BOUND, EXIT_MALFORMED, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, main
 from shiftpat.conjectures import (
@@ -505,8 +506,41 @@ WORD_TEXT = st.one_of(
 )
 
 
+# The sweep commands on number arguments: -3..6 keeps every sweep below S_7
+# and every call at one worker, so no call forks or runs long.
+NUMBER = st.integers(-3, 6).map(str)
+SWEEP_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["allowed", "forbidden", "minimal-forbidden", "xcheck"]),
+              NUMBER, NUMBER),
+    st.tuples(st.just("count"), NUMBER, NUMBER, st.just("--method"),
+              st.sampled_from(["closed", "recurrence", "brute", "oracle"])),
+    st.tuples(st.sampled_from(["table", "sextet", "conjecture2"]), NUMBER),
+    st.tuples(st.just("conjecture1"), NUMBER,
+              st.one_of(st.just(()), st.tuples(st.just("--bound"), NUMBER))
+              ).map(lambda argv: (*argv[:2], *argv[2])),
+)
+
+
+def run_quiet(*argv):
+    """(exit code, stdout, stderr) of one in-process CLI run, outside pytest's capture."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(code, out, err, codes):
+    """code is one of codes; exactly one `error:` line iff it is not 0, then no stdout; no traceback."""
+    assert code in codes
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == (0 if code == EXIT_OK else 1), err
+    if code != EXIT_OK:
+        assert out == ""
+    assert "Traceback" not in out + err
+
+
 class TestFuzz:
-    """Commands that start no sweep, on arbitrary literal text: an exit code, never a traceback."""
+    """Every command on arbitrary arguments: an exit code, never a traceback."""
 
     @settings(max_examples=300)
     @given(
@@ -516,13 +550,43 @@ class TestFuzz:
         )
     )
     def test_literals_end_in_an_exit_code(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (EXIT_OK, EXIT_USAGE, EXIT_MALFORMED)
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == (0 if code == EXIT_OK else 1), err
-        if code != EXIT_OK:
-            assert out == ""
-        assert "Traceback" not in out + err
+        assert_exit_contract(*run_quiet(*argv), (EXIT_OK, EXIT_USAGE, EXIT_MALFORMED))
+
+    @settings(max_examples=200)
+    @given(SWEEP_ARGV)
+    def test_sweeps_end_in_an_exit_code(self, argv):
+        assert_exit_contract(*run_quiet(*argv, "--threads", "1"), (EXIT_OK, EXIT_USAGE, EXIT_BOUND))
+
+
+class TestBoundaryChecks:
+    """Each entry point's own domain check, one call each: a ValueError, a value or an exit."""
+
+    @pytest.mark.parametrize("call, expected", [
+        ("count_binary(1)", ValueError),
+        ("count_row(1, 3)", ValueError),
+        ("count_row(4, 3, method='nope')", ValueError),
+        ("oracle_allowed(1, 2)", ValueError),
+        ("extremal_sextet(2)", ValueError),
+        ("omega_census(1, 2)", ValueError),
+        ("descent_set(())", ValueError),
+        ("eulerian_row(0)", ValueError),
+        ("list(n_cycles(0))", ValueError),
+        ("marked_eps((0,))", ValueError),
+        ("a_set((1,))", ValueError),
+        ("is_primitive(())", ValueError),
+        ("mobius(0)", ValueError),
+        ("psi(2, 0)", ValueError),
+        ("EventuallyPeriodicWord((), ())", ValueError),
+        ("EventuallyPeriodicWord((), (0,)).symbol_at(0)", ValueError),
+        ("EventuallyPeriodicWord((), (0,)).suffix(0)", ValueError),
+        ("n_min_marked((1,))", 1),
+        ("EventuallyPeriodicWord((), (0,)) == '(0)'", False),  # __eq__ returns NotImplemented
+        ("run_quiet('sextet', '2')", (EXIT_USAGE, "", "error: need n >= 3\n")),
+    ])
+    def test_check(self, call, expected):
+        names = {**vars(shiftpat), "run_quiet": run_quiet}
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                eval(call, names)
+        else:
+            assert eval(call, names) == expected

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import asdict
 from itertools import permutations, product
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from shiftpat import (
     enumerate_by_nmin,
     extremal_sextet,
     forbidden,
+    is_primitive,
     minimal_forbidden,
     n_min,
     n_min_marked,
@@ -33,8 +35,16 @@ from shiftpat import (
     reduce,
     solve_recurrence,
 )
-from shiftpat.enumeration import _alternate, _bases, _least_alphabets, _nmin_slice
+from shiftpat.enumeration import (
+    OmegaCensus,
+    _alternate,
+    _bases,
+    _least_alphabets,
+    _nmin_slice,
+    _primitive_sum,
+)
 from shiftpat.permutations import _cycles, _ranks_of, inverse
+from shiftpat.realization import _n_min
 from shiftpat.words import _order
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,6 +119,45 @@ def marks_slice(n, second):
         N[-1] += s[n - 1] == n
         counts.update(N)
     return counts
+
+
+def census_reference(n, N):
+    """asdict of omega_census(n, N) by one word object per (u, p), pat and the A/Delta kernel.
+
+    The reference for the census's bytes walk: equal words collapse through
+    the canonical form of EventuallyPeriodicWord, and each pattern's alphabet
+    comes from _n_min, not from the oracle's map.
+    """
+    words = {}
+    for t in range(1, n):
+        for p in product(range(N), repeat=t):
+            if not is_primitive(p):
+                continue
+            for u in product(range(N), repeat=n - t - 1):
+                w = EventuallyPeriodicWord(u + p * (n - 1), (0,), N)
+                words[w] = pat(w, n)
+    buckets = {j: 0 for j in range(N - 1)}
+    theta_buckets = {j: 0 for j in range(N - 1)}
+    undefined = 0
+    for pattern in words.values():
+        if pattern is None:
+            undefined += 1
+            continue
+        j = N - _n_min(pattern)
+        buckets[j] += 1
+        if pattern[-1] == 1:
+            theta_buckets[j] += 1
+    g_row, h_row = count_row(n, N, "g"), count_row(n, N, "h")
+    actual = (len(words), undefined, buckets, sum(theta_buckets.values()), theta_buckets)
+    predicted = (
+        _primitive_sum(n, N),
+        N ** (n - 2),
+        {j: math.comb(n + j - 1, j) * g_row[N - 2 - j] for j in range(N - 1)},
+        (N - 1) * N ** (n - 2),
+        {j: math.comb(n + j - 1, j) * h_row[N - 2 - j] for j in range(N - 1)},
+    )
+    fields = [value for pair in zip(actual, predicted) for value in pair]
+    return asdict(OmegaCensus(n, N, *fields, actual == predicted))
 
 
 class TestClosedForms:
@@ -528,6 +577,26 @@ class TestOmegaCensus:
         assert census.theta_buckets == census.theta_buckets_predicted
         assert census.total == census.total_predicted
 
+    # every cell with n <= 7 and N <= 4, and one whose symbols pass 255
+    @pytest.mark.parametrize("n, N", [(n, N) for n in range(2, 8) for N in range(2, 5)] + [(2, 300)])
+    def test_equals_the_word_object_loop(self, n, N):
+        census, want = asdict(omega_census(n, N)), census_reference(n, N)
+        assert census == want
+        assert repr(census) == repr(want)  # the bucket dicts' key order too
+
+    def test_an_order_the_oracle_lacks_fails_without_raising(self, monkeypatch):
+        least = enumeration._least_alphabets
+
+        def short(n, N, workers):
+            found = least(n, N, workers)
+            del found[next(iter(found))]  # the first key: a tail-0 word's order over {0, 1}
+            return found
+
+        monkeypatch.setattr(enumeration, "_least_alphabets", short)
+        census = omega_census(5, 3)
+        assert not census.ok
+        assert (census.total, census.undefined) == (census.total_predicted, census.undefined_predicted)
+
 
 def poison(monkeypatch, *names):
     """Make each named function raise wherever a shiftpat module looks it up."""
@@ -559,6 +628,11 @@ class TestIndependence:
         poison(monkeypatch, *self.FORMULAS, *self.CLOSED)
         assert count_row(n, N, method="oracle", workers=1) == row
         assert oracle_allowed(n, N, workers=1) == allowed
+
+    @pytest.mark.parametrize("n, N", [(6, 3), (5, 4)])
+    def test_census_reads_no_formula(self, monkeypatch, n, N):
+        poison(monkeypatch, *self.FORMULAS)
+        assert omega_census(n, N).ok
 
     @pytest.mark.parametrize("n, N", [(6, 5), (7, 6)])
     def test_brute_reads_neither_closed_form_nor_oracle(self, monkeypatch, n, N):
