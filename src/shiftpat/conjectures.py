@@ -133,11 +133,8 @@ def check_conjecture1(n: int, bound: int = DEFAULT_BOUND) -> Conjecture1Report:
             for p in range(1, n + 1):
                 below = 1 << (p - 2) if p > 1 else 0
                 t0_counts[(D | below) & ~(1 << (p - 1))] += count
-    # Each mask counted on either side is decoded once; sets counted 0 are left out.
-    pairs = enumerate(zip(t0_counts, sn_counts))
-    sets = {mask: _mask_set(mask) for mask, pair in pairs if any(pair)}
     t0, sn = (
-        _distribution({S: counts[mask] for mask, S in sets.items() if counts[mask]})
+        _distribution({_mask_set(mask): c for mask, c in enumerate(counts) if c})
         for counts in (t0_counts, sn_counts)
     )
     return Conjecture1Report(

@@ -95,7 +95,7 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
     sum), recurrence (that series unrolled; it is linear, so a = g + h), and
     for kind "a" only brute (the marked-cycle N over S_n) and oracle (each
     pattern's least alphabet, from one sweep of the family words on exactly
-    k symbols, k up to min(N_max, n)).
+    k symbols, 2 <= k <= min(N_max, n)).
 
     >>> count_row(6, 5)
     (126, 402, 186, 6)
@@ -264,8 +264,8 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
     its least or largest symbol, so a word with k distinct symbols relabels,
     order-preservingly, into a family word on exactly the symbols 0..k-1, and
     that shifts back into the family over any N >= k. So N(pi) is the least k
-    whose words realize pi, and k runs to min(N, n): a word has at most n
-    symbols.
+    whose words realize pi, and k runs from 2 to min(N, n): the all-zero word
+    ties every pair of suffixes, and a word has at most n symbols.
 
     Complementing every symbol within k (s -> k-1-s) reverses every suffix
     comparison, keeps ties and the symbols 0..k-1, and maps the words with
@@ -275,7 +275,7 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
     symbol, in increasing k, and an order and its reversal take the k of the
     first job that finds either.
     """
-    jobs = [(n, k, first) for k in range(1, min(N, n) + 1) for first in range(k)]
+    jobs = [(n, k, first) for k in range(2, min(N, n) + 1) for first in range(k)]
     least = {}
     for (_, k, _), part in zip(jobs, _fan_out(_oracle_slice, jobs, workers)):
         for o in part:
@@ -288,7 +288,7 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     """Every pattern of length n realized over N symbols, by direct search.
 
     Runs pattern extraction over the words u p^(n-1) 0^inf with
-    |u| + |p| = n - 1 on exactly the symbols 0..k-1, for each k <= min(N, n),
+    |u| + |p| = n - 1 on exactly the symbols 0..k-1, for each 2 <= k <= min(N, n),
     and adds the complement of each pattern found, which the complemented
     words (tail k-1) realize; together they are the family u p^(n-1) x^inf,
     x in {0, k-1}, which realizes every allowed pattern. Uses only

@@ -197,7 +197,7 @@ class EventuallyPeriodicWord:
     _LITERAL = re.compile(r"^\s*(\[[\d\s,]*\]|\d*)\s*\(\s*(\[[\d\s,]*\]|\d+)\s*\)\s*$", re.ASCII)
 
     @classmethod
-    def from_string(cls, text: str, alphabet_size=None) -> "EventuallyPeriodicWord":
+    def from_string(cls, text: str) -> "EventuallyPeriodicWord":
         """Parse the PRE(PER) literal syntax.
 
         >>> EventuallyPeriodicWord.from_string("10302(0)").pre
@@ -212,7 +212,7 @@ class EventuallyPeriodicWord:
             except ValueError:
                 pass
             else:
-                return cls(pre, per, alphabet_size)
+                return cls(pre, per)
         raise ValueError(f"not a PRE(PER) word literal: {text!r}")
 
 

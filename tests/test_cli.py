@@ -214,6 +214,10 @@ class TestPatternSets:
         assert code == EXIT_OK
         assert len(out.splitlines()) == 6
 
+    def test_allowed_over_one_symbol_is_empty(self, capsys):
+        # no word on one symbol realizes a pattern, so nothing is swept
+        assert run_cli(capsys, "allowed", "1200", "1") == (EXIT_OK, "", "")
+
     def test_golden_allowed_six_three(self, capsys):
         code, out, _ = run_cli(capsys, "allowed", "6", "3")
         assert code == EXIT_OK

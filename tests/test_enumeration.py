@@ -227,7 +227,7 @@ class TestClosedForms:
                 assert len(rows) == 1, (n, N_max, rows)
 
     def test_oracle_row_stops_at_n(self, monkeypatch):
-        # one sweep over the alphabets k = 1 .. min(N_max, n), one tail-0 job
+        # one sweep over the alphabets k = 2 .. min(N_max, n), one tail-0 job
         # per first symbol of the base: k jobs for each k
         alphabets = []
         sweep = enumeration._oracle_slice
@@ -238,7 +238,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(enumeration, "_oracle_slice", counted)
         assert count_row(5, 12, method="oracle") == count_row(5, 12)
-        assert alphabets == [1] + [2] * 2 + [3] * 3 + [4] * 4 + [5] * 5
+        assert alphabets == [2] * 2 + [3] * 3 + [4] * 4 + [5] * 5
 
     @pytest.mark.parametrize("kind", ["g", "h"])
     @pytest.mark.parametrize("method", ["brute", "oracle"])
@@ -366,6 +366,12 @@ class TestOracle:
                 assert size - previous == count_a(n, N), (n, N)
                 previous = size
 
+    def test_one_symbol_plans_no_job(self):
+        # the all-zero word ties every pair of suffixes, so N = 1 realizes
+        # nothing; at n = 1200 a one-symbol walk would recurse 1198 deep
+        assert _least_alphabets(1200, 1, 1) == {}
+        assert oracle_allowed(1200, 1) == frozenset()
+
     def test_parallel_merge_identical(self):
         # first-symbol jobs at an odd and an even alphabet, merged from two workers
         for n, N in ((6, 3), (7, 4), (6, 5)):
@@ -430,7 +436,7 @@ class TestOracle:
         monkeypatch.setattr(enumeration, "_oracle_slice", job)
         monkeypatch.setattr(enumeration, "_order", recorded)
         _least_alphabets(6, 4, 1)
-        assert [k for k, _ in words_by_job] == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
+        assert [k for k, _ in words_by_job] == [2, 2, 3, 3, 3, 4, 4, 4, 4]
         for k, seen in words_by_job:
             assert seen and all(set(w) == set(range(k)) for w in seen), k
 
@@ -456,7 +462,7 @@ class TestOracle:
         _least_alphabets(n, N, 1)
         assert calls == {
             k: (n - 1) * sum((-1) ** j * math.comb(k - 1, j) * (k - j) ** (n - 1) for j in range(k))
-            for k in range(1, N + 1)
+            for k in range(2, N + 1)
         }
 
     def test_eventually_constant_words_add_nothing(self):
