@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations as _all_permutations, product
+from itertools import permutations as _all_permutations
 from math import comb
 from operator import gt
 
@@ -372,32 +372,31 @@ class OmegaCensus:
 def omega_census(n: int, N: int) -> OmegaCensus:
     """Partition u p^(n-1) 0^inf words by the alphabet need of their pattern.
 
-    Reads no N(pi) formula: the oracle's zero-tail kernel orders each word,
-    keyed by its symbols with the zero tail stripped, and its map gives N(pi).
+    Reads no N(pi) formula and walks only the oracle's bases: a word whose
+    nonzero symbols are k-1 of 1..N-1 relabels in order onto 0..k-1, so the
+    zero-tail kernel orders one key q, those symbols with the zero tail
+    stripped, per C(N-1, k-1) words, and the oracle's map gives N(pi).
     """
     if n < 2 or N < 2:
         raise ValueError("need n, N >= 2")
-    # bytes slice by memcpy; past 256 symbols a str of chr(s), which orders the same
-    word, zero, symbols = ((bytes, b"\0", range(N)) if N <= 256
-                           else ("".join, "\0", map(chr, range(N))))
-    words = {(b + b[n - 1 - t :] * (n - 2)).rstrip(zero)  # b = u p, and p primitive
-             for b in map(word, product(symbols, repeat=n - 1))
-             for t in range(1, n) if is_primitive(b[n - 1 - t :])}
+    words = {(b + b[n - 1 - t :] * (n - 2)).rstrip(b"\0"): comb(N - 1, k - 1)  # b = u p
+             for k in range(1, min(N, n) + 1) for b in _bases(b"", n - 1, frozenset(range(1, k)), k)
+             for t in range(1, n) if is_primitive(b[n - 1 - t :])}  # p primitive
     least = _least_alphabets(n, N, 1)
     buckets, theta_buckets = dict.fromkeys(range(N - 1), 0), dict.fromkeys(range(N - 1), 0)
     undefined = 0
-    for q in words:
-        order = _order(q, zero, n)
+    for q, weight in words.items():
+        order = _order(q, b"\0", n)
         if order is None:
-            undefined += 1
+            undefined += weight
         elif order in least:  # an order the oracle lacks is counted nowhere, and fails ok
             j = N - least[order]
-            buckets[j] += 1
-            theta_buckets[j] += order[0] == n - 1  # pi(n) = 1: suffix n is the least
+            buckets[j] += weight
+            theta_buckets[j] += weight * (order[0] == n - 1)  # pi(n) = 1: suffix n is the least
     g_row, h_row = count_row(n, N, "g"), count_row(n, N, "h")
     buckets_predicted = {j: comb(n + j - 1, j) * g_row[N - 2 - j] for j in range(N - 1)}
     theta_buckets_predicted = {j: comb(n + j - 1, j) * h_row[N - 2 - j] for j in range(N - 1)}
-    total, total_predicted = len(words), _primitive_sum(n, N)
+    total, total_predicted = sum(words.values()), _primitive_sum(n, N)
     undefined_predicted = N ** (n - 2)
     theta_total, theta_total_predicted = sum(theta_buckets.values()), (N - 1) * N ** (n - 2)
     return OmegaCensus(

@@ -124,8 +124,9 @@ def marks_slice(n, second):
 def census_reference(n, N):
     """asdict of omega_census(n, N) by one word object per (u, p), pat and the A/Delta kernel.
 
-    The reference for the census's bytes walk: equal words collapse through
-    the canonical form of EventuallyPeriodicWord, and each pattern's alphabet
+    The reference for the census's weighted walk over the normalized bases:
+    every word over all N symbols is built, equal words collapse through the
+    canonical form of EventuallyPeriodicWord, and each pattern's alphabet
     comes from _n_min, not from the oracle's map.
     """
     words = {}
@@ -583,12 +584,34 @@ class TestOmegaCensus:
         assert census.theta_buckets == census.theta_buckets_predicted
         assert census.total == census.total_predicted
 
-    # every cell with n <= 7 and N <= 4, and one whose symbols pass 255
-    @pytest.mark.parametrize("n, N", [(n, N) for n in range(2, 8) for N in range(2, 5)] + [(2, 300)])
+    # every cell with n <= 7 and N <= 4, two whose alphabets k reach n, and
+    # one whose weights stand for symbols past 255
+    @pytest.mark.parametrize("n, N", [(n, N) for n in range(2, 8) for N in range(2, 5)]
+                             + [(4, 6), (5, 5), (2, 300)])
     def test_equals_the_word_object_loop(self, n, N):
         census, want = asdict(omega_census(n, N)), census_reference(n, N)
         assert census == want
         assert repr(census) == repr(want)  # the bucket dicts' key order too
+
+    def test_orders_at_most_twice_the_oracle_plan(self, monkeypatch):
+        # the census orders one word per relabeling class, on the oracle's
+        # bases from k = 1, besides the oracle's own sweep; a sweep of all
+        # N^(n-1) bases makes 292,622 calls here
+        n, N = 6, 9
+        calls = 0
+        kernel = enumeration._order
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(enumeration, "_order", counted)
+        assert omega_census(n, N).ok
+        plan = (n - 1) * sum((-1) ** j * math.comb(k - 1, j) * (k - j) ** (n - 1)
+                             for k in range(1, min(N, n) + 1) for j in range(k))
+        assert plan == 5410
+        assert calls <= 2 * plan
 
     def test_an_order_the_oracle_lacks_fails_without_raising(self, monkeypatch):
         least = enumeration._least_alphabets
