@@ -73,11 +73,11 @@ def _primitive_sum(n: int, M: int) -> int:
     return out
 
 
-# b_M of the closed forms, for a(n, .), g(n, .) and h(n, .)
+# b_M of the closed forms from S = _primitive_sum(n, M), for a(n, .), g(n, .) and h(n, .)
 _TERMS = {
-    "a": lambda n, M: (M - 2) * M ** (n - 2) + _primitive_sum(n, M),
-    "g": lambda n, M: _primitive_sum(n, M) - M ** (n - 2),
-    "h": lambda n, M: (M - 1) * M ** (n - 2),
+    "a": lambda n, M, S: (M - 2) * M ** (n - 2) + S,
+    "g": lambda n, M, S: S - M ** (n - 2),
+    "h": lambda n, M, S: (M - 1) * M ** (n - 2),
 }
 
 
@@ -114,16 +114,30 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
         return tuple(counts.get(N, 0) for N in range(2, N_max + 1))
     if method not in ("closed", "recurrence"):
         raise ValueError(f"unknown method: {method!r}")
-    b = [_TERMS[kind](n, M) for M in range(2, N_max + 1)]
+    term = _TERMS[kind]
+    b = [term(n, M, None if kind == "h" else _primitive_sum(n, M)) for M in range(2, N_max + 1)]
     return _alternate(n, b) if method == "closed" else solve_recurrence(n, b)
 
 
 def count_table(n_max: int):
-    """Iterator of (n, N, a(n, N)) for 2 <= n <= n_max and 2 <= N <= max(2, n-1), a row at a time."""
+    """Iterator of (n, N, a(n, N)) for 2 <= n <= n_max and 2 <= N <= max(2, n-1), a row at a time.
+
+    Each alphabet M keeps its primitive sum S(n, M) = _primitive_sum(n, M) and
+    advances it one Horner step per row, S(n+1, M) = M S(n, M) + psi_M(n), so
+    the table makes about n_max^2 psi calls in all.
+    """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    rows = ((n, count_row(n, max(2, n - 1))) for n in range(2, n_max + 1))
-    return ((n, N, value) for n, row in rows for N, value in enumerate(row, start=2))
+    return ((n, N, value) for n, row in _table_rows(n_max) for N, value in enumerate(row, start=2))
+
+
+def _table_rows(n_max: int):
+    """(n, (a(n, 2), ..., a(n, max(2, n-1)))) for 2 <= n <= n_max; alphabet n-1 enters at row n."""
+    sums = []  # sums[M - 2] = S(n, M) once row n is built
+    for n in range(2, n_max + 1):
+        sums = [M * S + psi(M, n - 1) for M, S in enumerate(sums, start=2)]
+        sums += [_primitive_sum(n, M) for M in range(len(sums) + 2, max(2, n - 1) + 1)]
+        yield n, _alternate(n, [_TERMS["a"](n, M, S) for M, S in enumerate(sums, start=2)])
 
 
 def count_a(n: int, N: int, method: str = "closed", workers: int = 1) -> int:

@@ -206,6 +206,30 @@ class TestClosedForms:
         ]
         for n, N, value in cells:
             assert value == count_a(n, N) == count_a(n, N, method="recurrence"), (n, N)
+        # the running Horner sums against one count_row per n
+        rows = {}
+        for n, N, value in count_table(60):
+            rows.setdefault(n, []).append(value)
+        assert rows == {n: list(count_row(n, max(2, n - 1))) for n in range(2, 61)}
+
+    def test_table_advances_each_primitive_sum_by_one_psi(self, monkeypatch):
+        # one psi per alphabet and row, plus n - 1 to seed alphabet n - 1 at
+        # row n: about n_max^2 calls (2,162 at 48), not one full sum per cell
+        calls = []
+        real = enumeration.psi
+
+        def counted(N, t):
+            calls.append((N, t))
+            return real(N, t)
+
+        monkeypatch.setattr(enumeration, "psi", counted)
+        list(count_table(48))
+        assert 0 < len(calls) <= 48 ** 2
+
+    def test_h_row_reads_no_primitive_sum(self, monkeypatch):
+        expected = count_row(9, 8, "h")
+        poison(monkeypatch, "_primitive_sum", "psi")
+        assert count_row(9, 8, "h") == expected
 
     def test_table_below_two_rejected(self):
         for n_max in (1, -5):
@@ -673,8 +697,12 @@ class TestIndependence:
                                                ("recurrence", "_alternate")])
     def test_closed_and_recurrence_read_no_sweep(self, monkeypatch, method, other):
         brute = {n: count_row(n, 6, method="brute") for n in range(3, 8)}
+        table = [(n, N, value) for n in range(2, 9)
+                 for N, value in enumerate(count_row(n, max(2, n - 1), method="brute"), start=2)]
         poison(monkeypatch, *self.FORMULAS, *self.ORACLE, other)
         for n, row in brute.items():
             assert count_row(n, 6, method=method) == row
             g, h = count_row(n, 6, "g", method), count_row(n, 6, "h", method)
             assert tuple(map(sum, zip(g, h))) == row
+        if method == "closed":  # the table is the closed form's alternating sum
+            assert list(count_table(8)) == table
