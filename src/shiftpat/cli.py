@@ -223,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", parents=[common], help="a word realizing the pattern")
     p.add_argument("perm")
     p.add_argument("--variant", choices=list("ABCDEF"), default=None)
-    p.add_argument("--m", type=int, default=None, help="repetition count for variants A/B")
+    p.add_argument(
+        "--m", type=int, default=None,
+        help="repetition count for variants A/B (default: the least the bound admits)",
+    )
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("pat", parents=[common], help="pattern of a word's first n suffixes")

@@ -238,7 +238,13 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     constant tail to the forced prefix when pi(n) is 1 resp. n, and
     E/F handle an interior pi(n) whose neighbor gap is strict. With no
     variant requested, A is chosen when pi(n-1) > pi(n), else B. The
-    repetition count m defaults to n-1 and must keep (m-1)(n-k) >= n-2.
+    repetition count m must keep (m-1)(n-k) >= n-2 and defaults to the
+    least m that does, 1 + ceil((n-2)/(n-k)): about 2n symbols in the
+    word where m = n-1 would give about n^2 (the two agree when n <= 3
+    or k = n-1).
+
+    >>> witness((4, 3, 6, 1, 5, 2)).word.to_string()
+    '103020302(0)'
     """
     pi, inv = _checked(pi)
     n = len(pi)
@@ -259,7 +265,7 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     k = reps = None
     if variant in ("A", "B"):
         k = inv[b + 1 if variant == "A" else b - 1]
-        reps = n - 1 if m is None else m
+        reps = 1 - (2 - n) // (n - k) if m is None else m  # 1 + ceil((n-2)/(n-k))
         if reps < 1 or (reps - 1) * (n - k) < n - 2:
             raise ValueError(f"m={reps} is below the repetition bound for k={k}")
     # pi and the variant are valid from here on: build the word

@@ -115,6 +115,17 @@ class TestWitness:
         assert code == EXIT_OK
         assert out == "word=103020302(0)\nvariant=A k=2 m=2\ncheck=ok\n"
 
+    def test_default_m_is_the_least_the_bound_admits(self, capsys):
+        # k = 2, n = 6: (m-1)(n-k) >= n-2 first holds at m = 2
+        code, out, _ = run_cli(capsys, "witness", "436152")
+        assert code == EXIT_OK
+        assert out == "word=103020302(0)\nvariant=A k=2 m=2\ncheck=ok\n"
+        code, out, _ = run_cli(capsys, "witness", "--json", "436152")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["result"] == "103020302(0)"
+        assert data["details"] == {"variant": "A", "k": 2, "m": 2, "check": True}
+
     def test_json_reports_check(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--json", "35241", "--variant", "C")
         assert code == EXIT_OK

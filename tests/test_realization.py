@@ -292,7 +292,22 @@ class TestWitness:
         assert witness((4, 2, 1, 7, 5, 3, 6)).variant == "B"
 
     def test_default_m(self):
-        assert witness((4, 3, 6, 1, 5, 2)).m == 5
+        assert witness((4, 3, 6, 1, 5, 2)).m == 2
+
+    def test_default_m_is_valid_and_least(self):
+        # the default is 1 + ceil((n-2)/(n-k)), the least m with (m-1)(n-k) >= n-2
+        for n in range(3, 9):
+            for pi in s_n(n):
+                N = n_min(pi)
+                # A needs pi(n) != n, B needs pi(n) != 1
+                for v in "A" * (pi[-1] != n) + "B" * (pi[-1] != 1):
+                    spec = witness(pi, variant=v)
+                    assert spec.m == 1 + -(-(n - 2) // (n - spec.k)), (pi, v)
+                    assert realize_check(pi, spec.word), (pi, v)
+                    assert len(set(spec.word.pre) | set(spec.word.per)) == N, (pi, v)
+                    if spec.m > 1:
+                        with pytest.raises(ValueError, match="repetition bound"):
+                            witness(pi, variant=v, m=spec.m - 1)
 
     def test_m_bound_enforced(self):
         with pytest.raises(ValueError, match="repetition bound"):
