@@ -18,7 +18,7 @@ from math import comb
 from operator import gt
 
 from .permutations import _cycles, _ranks_of, marked_inverse, marked_rc, reduce, theta_inv
-from .words import _order, is_primitive, psi
+from .words import _order, _squarefree_below, is_primitive, psi
 
 __all__ = [
     "BoundExceededError",
@@ -66,10 +66,20 @@ def count_binary(n: int) -> int:
 
 
 def _primitive_sum(n: int, M: int) -> int:
-    """sum over 1 <= t < n of psi_M(t) M^(n-t-1), by Horner's rule."""
-    out = 0
-    for t in range(1, n):
-        out = out * M + psi(M, t)
+    """S(n, M) = sum over 1 <= t < n of psi_M(t) M^(n-1-t) for M >= 2, by Moebius inversion.
+
+    Write psi_M(t) = sum over d | t of mobius(d) M^(t/d) and swap the two
+    sums: t = d j for 1 <= j <= J = floor((n-1)/d), so
+    S = sum over d < n of mobius(d) sum_{j=1..J} M^(n-1-(d-1) j). The d = 1
+    sum is (n-1) M^(n-1). For d >= 2 the j-sum is geometric in r = M^(d-1):
+    M^(n-1-(d-1)J) (r^J - 1)/(r - 1) = (M^(n-1) - M^((n-1) mod d + J)) / (r - 1),
+    an exact division since r >= 2. So S costs one term per square-free d < n
+    and calls no psi; for n = 2 no d >= 2 is left and S = M.
+    """
+    top = M ** (n - 1)
+    out = (n - 1) * top
+    for d, mu in _squarefree_below(n):
+        out += mu * ((top - M ** ((n - 1) % d + (n - 1) // d)) // (M ** (d - 1) - 1))
     return out
 
 
@@ -123,8 +133,9 @@ def count_table(n_max: int):
     """Iterator of (n, N, a(n, N)) for 2 <= n <= n_max and 2 <= N <= max(2, n-1), a row at a time.
 
     Each alphabet M keeps its primitive sum S(n, M) = _primitive_sum(n, M) and
-    advances it one Horner step per row, S(n+1, M) = M S(n, M) + psi_M(n), so
-    the table makes about n_max^2 psi calls in all.
+    advances it one Horner step per row, S(n+1, M) = M S(n, M) + psi_M(n); a
+    new alphabet is seeded by _primitive_sum, which calls no psi, so the
+    table makes one psi call per advanced alphabet and row, about n_max^2 / 2.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")

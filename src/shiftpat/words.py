@@ -92,6 +92,12 @@ def _psi_terms(t: int) -> tuple:
     return tuple((mu, t // d) for d in _divisors(t) if (mu := mobius(d)))
 
 
+@cache
+def _squarefree_below(n: int) -> tuple:
+    """(d, mobius(d)) for each square-free d with 2 <= d < n, factored once per n."""
+    return tuple((d, mu) for d in range(2, n) if (mu := mobius(d)))
+
+
 def psi(N: int, t: int) -> int:
     """Number of primitive words of length t over N letters.
 

@@ -161,6 +161,14 @@ def census_reference(n, N):
     return asdict(OmegaCensus(n, N, *fields, actual == predicted))
 
 
+def psi_horner_sum(n, M):
+    """sum over 1 <= t < n of psi_M(t) M^(n-1-t), by Horner's rule: one psi per length t."""
+    out = 0
+    for t in range(1, n):
+        out = out * M + words.psi(M, t)
+    return out
+
+
 class TestClosedForms:
     def test_binary_column(self):
         assert [count_binary(n) for n in range(2, 9)] == [2, 6, 18, 48, 126, 306, 738]
@@ -212,9 +220,23 @@ class TestClosedForms:
             rows.setdefault(n, []).append(value)
         assert rows == {n: list(count_row(n, max(2, n - 1))) for n in range(2, 61)}
 
+    def test_primitive_sum_equals_the_psi_horner_sum(self):
+        for n in range(2, 81):
+            for M in range(2, 21):
+                assert _primitive_sum(n, M) == psi_horner_sum(n, M), (n, M)
+
+    def test_primitive_sums_call_no_psi(self, monkeypatch):
+        def cells():
+            return (count_row(24, 23), count_row(24, 23, method="recurrence"),
+                    count_binary(48), omega_census(6, 4).total_predicted)
+
+        expected = cells()
+        poison(monkeypatch, "psi")
+        assert cells() == expected
+
     def test_table_advances_each_primitive_sum_by_one_psi(self, monkeypatch):
-        # one psi per alphabet and row, plus n - 1 to seed alphabet n - 1 at
-        # row n: about n_max^2 calls (2,162 at 48), not one full sum per cell
+        # one psi per advanced alphabet and row, and none to seed alphabet
+        # n - 1 at row n: 1 + (1 + 2 + ... + 45) = 1,036 calls at n_max = 48
         calls = []
         real = enumeration.psi
 
@@ -224,7 +246,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(enumeration, "psi", counted)
         list(count_table(48))
-        assert 0 < len(calls) <= 48 ** 2
+        assert len(calls) == 1036
 
     def test_h_row_reads_no_primitive_sum(self, monkeypatch):
         expected = count_row(9, 8, "h")
@@ -669,8 +691,8 @@ class TestIndependence:
     # the A/Delta and marked-cycle formulas for N(pi), and the brute sweep over them
     FORMULAS = ("_n_min", "n_min", "n_min_marked", "theta", "_theta", "_walk", "_delta",
                 "marked_des", "marked_eps", "_nmin_slice", "enumerate_by_nmin")
-    # the closed forms: psi, its sums and the binomial inversion, unrolled or not
-    CLOSED = ("_alternate", "_primitive_sum", "psi", "solve_recurrence")
+    # the closed forms: psi, mobius, their sums and the binomial inversion, unrolled or not
+    CLOSED = ("_alternate", "_primitive_sum", "mobius", "psi", "solve_recurrence")
     # the word-family oracle
     ORACLE = ("_oracle_slice", "_bases", "_least_alphabets", "_order")
 
