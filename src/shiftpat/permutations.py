@@ -19,16 +19,11 @@ __all__ = [
     "eulerian_row",
     "contains_consecutive",
     "complement",
-    "reverse_complement",
     "inverse",
-    "cycle_decomposition",
-    "is_n_cycle",
     "n_cycles",
     "theta",
     "theta_inv",
     "marked_cycles",
-    "star_position",
-    "missing_value",
     "star_deleted",
     "marked_des",
     "marked_eps",
@@ -36,16 +31,19 @@ __all__ = [
     "marked_inverse",
     "parse_permutation",
     "format_permutation",
-    "parse_marked",
     "format_marked",
 ]
 
 
 def check_permutation(pi) -> tuple:
-    """Return pi as a tuple after checking it is a bijection of 1..n."""
+    """Return pi as a tuple after checking it is a bijection of 1..n.
+
+    Every entry must be an int: 2.0 and True compare equal to 2 and 1, so
+    the set comparison alone would let them through.
+    """
     pi = tuple(pi)
     n = len(pi)
-    if n < 1 or set(pi) != set(range(1, n + 1)):
+    if n < 1 or set(pi) != set(range(1, n + 1)) or set(map(type, pi)) != {int}:
         raise ValueError(f"not a permutation of 1..{n}: {pi!r}")
     return pi
 
@@ -129,17 +127,6 @@ def complement(pi) -> tuple:
     return tuple(n + 1 - v for v in pi)
 
 
-def reverse_complement(pi) -> tuple:
-    """The 180-degree rotation i -> n+1-pi(n+1-i).
-
-    >>> reverse_complement((2, 3, 1))
-    (3, 1, 2)
-    """
-    pi = check_permutation(pi)
-    n = len(pi)
-    return tuple(n + 1 - pi[n - i] for i in range(1, n + 1))
-
-
 def _positions(pi) -> list:
     """inv[v] = 1-indexed position of value v; inv[0] unused, or inv[n] for values 0..n-1."""
     inv = [0] * (len(pi) + 1)
@@ -155,33 +142,6 @@ def _ranks_of(order) -> tuple:
 
 def inverse(pi) -> tuple:
     return tuple(_positions(check_permutation(pi))[1:])
-
-
-def cycle_decomposition(pi) -> tuple:
-    """Disjoint cycles, each starting at its smallest element.
-
-    >>> cycle_decomposition((2, 5, 1, 7, 3, 6, 4))
-    ((1, 2, 5, 3), (4, 7), (6,))
-    """
-    pi = check_permutation(pi)
-    seen = set()
-    cycles = []
-    for start in range(1, len(pi) + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        v = pi[start - 1]
-        while v != start:
-            cyc.append(v)
-            seen.add(v)
-            v = pi[v - 1]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
-
-
-def is_n_cycle(pi) -> bool:
-    return len(cycle_decomposition(pi)) == 1
 
 
 def _cycles(n: int, second: int):
@@ -255,27 +215,17 @@ def marked_cycles(n: int):
 
 
 def _check_marked_shape(mc) -> tuple:
-    """Return mc as a tuple after checking it is n-1 distinct values of 1..n and one mark 0."""
+    """Return mc as a tuple after checking it is n-1 distinct ints of 1..n and one mark 0."""
     mc = tuple(mc)
     n = len(mc)
-    vals = [e for e in mc if e != 0]
-    if mc.count(0) != 1 or len(set(vals)) != n - 1 or not all(1 <= e <= n for e in vals):
+    entries = set(mc)
+    if set(map(type, mc)) != {int} or len(entries) != n or not {0} <= entries <= set(range(n + 1)):
         raise ValueError(f"not a marked cycle shape: {mc!r}")
     return mc
 
 
-def star_position(mc) -> int:
-    """1-indexed slot of the mark."""
-    return _check_marked_shape(mc).index(0) + 1
-
-
-def missing_value(mc) -> int:
-    """The value of 1..n hidden behind the mark."""
-    return _missing_value(_check_marked_shape(mc))
-
-
 def _missing_value(mc) -> int:
-    """missing_value of a tuple trusted to have the marked cycle shape."""
+    """The value of 1..n hidden behind the mark; mc is trusted to have the marked cycle shape."""
     return set(range(1, len(mc) + 1)).difference(mc).pop()
 
 
@@ -327,21 +277,20 @@ def marked_inverse(mc) -> tuple:
     return tuple(out)
 
 
-def _entries(text: str, marked: bool = False) -> tuple:
-    """The entries of a permutation literal, or of a marked cycle literal with `*` read as 0.
+def _entries(text: str) -> tuple:
+    """The entries of a permutation literal.
 
     Entries are unsigned ASCII decimal numbers split on commas and spaces;
     a permutation written as one run of digits has one digit per entry
-    (the n <= 9 shorthand). Anything else raises "not a ... literal".
+    (the n <= 9 shorthand). Anything else raises "not a permutation literal".
     """
-    kind = "marked cycle" if marked else "permutation"
     tokens = text.replace(",", " ").split()
-    if not marked and len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
+    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
         tokens = list(tokens[0])
     # on ASCII text isdigit() accepts exactly 0-9: no sign, `_` or other digits
-    if not text.isascii() or not all(t.isdigit() or (marked and t == "*") for t in tokens):
-        raise ValueError(f"not a {kind} literal: {text!r}")
-    return tuple(0 if t == "*" else int(t) for t in tokens)
+    if not text.isascii() or not all(t.isdigit() for t in tokens):
+        raise ValueError(f"not a permutation literal: {text!r}")
+    return tuple(map(int, tokens))
 
 
 def parse_permutation(text: str) -> tuple:
@@ -351,11 +300,6 @@ def parse_permutation(text: str) -> tuple:
 
 def format_permutation(pi) -> str:
     return " ".join(str(v) for v in pi)
-
-
-def parse_marked(text: str) -> tuple:
-    """Parse a marked cycle literal such as `5 3 6 1 7 4 * 9 2`."""
-    return _check_marked_shape(_entries(text, marked=True))
 
 
 def format_marked(mc) -> str:

@@ -276,10 +276,11 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
         c = prefix[inv[b - 1] - 1]
         prefix += (c + 1 if variant == "F" else c,)
     tail = N - 1 if variant in ("B", "D", "E") else 0
-    word = EventuallyPeriodicWord(prefix, (tail,), N)
+    word = EventuallyPeriodicWord._canonical(prefix, (tail,), N)
     return WitnessSpec(variant=variant, k=k, m=reps, word=word)
 
 
 def realize_check(pi, w: EventuallyPeriodicWord) -> bool:
     """True iff the first len(pi) suffixes of w order exactly like pi."""
-    return pat(w, len(pi)) == tuple(pi)
+    pi = check_permutation(pi)
+    return pat(w, len(pi)) == pi

@@ -24,7 +24,6 @@ __all__ = [
     "EventuallyPeriodicWord",
     "compare",
     "pat",
-    "word_complement",
     "is_primitive",
     "primitive_root",
     "mobius",
@@ -126,26 +125,33 @@ class EventuallyPeriodicWord:
     __slots__ = ("pre", "per", "alphabet_size")
 
     def __init__(self, pre, per, alphabet_size=None):
-        pre = tuple(pre)
-        per = primitive_root(per)
+        """Check that every symbol is an int in 0..alphabet_size-1 (an int, default max + 1)."""
+        pre, per = tuple(pre), tuple(per)
         if not per:
             raise ValueError("period must be nonempty")
+        symbols = pre + per
+        if set(map(type, symbols)) != {int} or type(alphabet_size) not in (int, type(None)):
+            raise ValueError("symbols and the alphabet size must be integers")
+        hi = max(symbols)
+        if alphabet_size is None:
+            alphabet_size = hi + 1
+        if min(symbols) < 0 or hi >= alphabet_size:
+            raise ValueError(f"symbols must lie in 0..{alphabet_size - 1}")
+        w = self._canonical(pre, per, alphabet_size)
+        self.pre, self.per, self.alphabet_size = w.pre, w.per, alphabet_size
+
+    @classmethod
+    def _canonical(cls, pre: tuple, per: tuple, alphabet_size: int) -> "EventuallyPeriodicWord":
+        """pre . per^inf in canonical form, unchecked: the library's own tuples of ints in range."""
+        per = primitive_root(per)
         # the preperiod's tail that reads the period backwards is absorbed: one cut, one rotation
         p, cut = len(per), len(pre)
         while cut and pre[cut - 1] == per[(cut - len(pre) - 1) % p]:
             cut -= 1
         r = p - (len(pre) - cut) % p
-        pre, per = pre[:cut], per[r:] + per[:r]
-        lo, hi = min(per), max(per)
-        if pre:
-            lo, hi = min(lo, min(pre)), max(hi, max(pre))
-        if alphabet_size is None:
-            alphabet_size = hi + 1
-        if lo < 0 or hi >= alphabet_size:
-            raise ValueError(f"symbols must lie in 0..{alphabet_size - 1}")
-        self.pre = pre
-        self.per = per
-        self.alphabet_size = alphabet_size
+        w = object.__new__(cls)
+        w.pre, w.per, w.alphabet_size = pre[:cut], per[r:] + per[:r], alphabet_size
+        return w
 
     def symbol_at(self, i: int) -> int:
         """The i-th symbol, 1-indexed."""
@@ -161,9 +167,9 @@ class EventuallyPeriodicWord:
             raise ValueError("positions are 1-indexed")
         drop = k - 1
         if drop <= len(self.pre):
-            return EventuallyPeriodicWord(self.pre[drop:], self.per, self.alphabet_size)
+            return self._canonical(self.pre[drop:], self.per, self.alphabet_size)
         off = (drop - len(self.pre)) % len(self.per)
-        return EventuallyPeriodicWord((), self.per[off:] + self.per[:off], self.alphabet_size)
+        return self._canonical((), self.per[off:] + self.per[:off], self.alphabet_size)
 
     def unroll(self, length: int) -> tuple:
         """The first `length` symbols as a tuple."""
@@ -218,7 +224,10 @@ class EventuallyPeriodicWord:
             except ValueError:
                 pass
             else:
-                return cls(pre, per)
+                if not per:
+                    raise ValueError("period must be nonempty")
+                # the parser yields unsigned ints only, so the largest one sets the alphabet
+                return cls._canonical(pre, per, max(pre + per) + 1)
         raise ValueError(f"not a PRE(PER) word literal: {text!r}")
 
 
@@ -307,10 +316,3 @@ def _order(pre, per, n: int):
     full = pre + per * (-(-(n - 1) // len(per)) + 1)
     return _order_of([full[i : i + width] for i in range(n)])
 
-
-def word_complement(w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
-    """Symbol-wise complement s -> N-1-s within w's alphabet."""
-    top = w.alphabet_size - 1
-    return EventuallyPeriodicWord(
-        tuple(top - s for s in w.pre), tuple(top - s for s in w.per), w.alphabet_size
-    )
