@@ -35,7 +35,7 @@ from .enumeration import (
     minimal_forbidden,
     oracle_allowed,
 )
-from .permutations import format_marked, format_permutation, parse_permutation
+from .permutations import _size, format_marked, format_permutation, parse_permutation
 from .realization import explain_nmin, realize_check, witness
 from .words import EventuallyPeriodicWord, pat
 
@@ -175,8 +175,8 @@ def _cmd_conjecture2(args) -> tuple:
 
 
 def _cmd_xcheck(args) -> tuple:
-    if args.n_max < 2 or args.N_max < 2:
-        raise ValueError("need n_max >= 2 and N_max >= 2")
+    _size(args.n_max, 2, "n_max")
+    _size(args.N_max, 2, "N_max")
     check_bound(args.n_max)
     methods = ("closed", "brute", "oracle")
     lines = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .enumeration import DEFAULT_BOUND, check_bound, count_table
-from .permutations import descent_set, theta_inv
+from .permutations import _size, descent_set, theta_inv
 from .words import _psi_terms
 
 __all__ = [
@@ -120,9 +120,7 @@ def check_conjecture1(n: int, bound: int = DEFAULT_BOUND) -> Conjecture1Report:
     cyclic permutations, Adv. Appl. Math. 47, 2011, studies this
     equidistribution).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_bound(n, bound)
+    check_bound(_size(n, 1, "n"), bound)
     # With 0 in slot p, position p-1 is a descent (sigma_{p-1} > 0) and p is not
     # (0 < sigma_{p+1}); the other positions keep the cycle's set D, so each mark is
     # O(1): set bit p-2 for position p-1 when p > 1, then clear bit p-1 for p.

@@ -17,7 +17,7 @@ from itertools import permutations as _all_permutations
 from math import comb
 from operator import gt
 
-from .permutations import _cycles, _ranks_of, marked_inverse, marked_rc, reduce, theta_inv
+from .permutations import _cycles, _ranks_of, _size, marked_inverse, marked_rc, reduce, theta_inv
 from .words import _order, _squarefree_below, is_primitive, psi
 
 __all__ = [
@@ -60,9 +60,7 @@ def count_binary(n: int) -> int:
     >>> [count_binary(n) for n in range(2, 9)]
     [2, 6, 18, 48, 126, 306, 738]
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return _primitive_sum(n, 2)
+    return _primitive_sum(_size(n, 2, "n"), 2)
 
 
 def _primitive_sum(n: int, M: int) -> int:
@@ -112,8 +110,8 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
     >>> count_row(6, 5, method="oracle")
     (126, 402, 186, 6)
     """
-    if n < 2 or N_max < 2:
-        raise ValueError("need n, N >= 2")
+    _size(n, 2, "n")
+    _size(N_max, 2, "N")
     if kind not in _TERMS:
         raise ValueError(f"unknown kind: {kind!r}")
     if method in ("brute", "oracle") and kind != "a":
@@ -137,8 +135,7 @@ def count_table(n_max: int):
     new alphabet is seeded by _primitive_sum, which calls no psi, so the
     table makes one psi call per advanced alphabet and row, about n_max^2 / 2.
     """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
+    _size(n_max, 2, "n_max")  # here, not at the first read of the generator
     return ((n, N, value) for n, row in _table_rows(n_max) for N, value in enumerate(row, start=2))
 
 
@@ -187,7 +184,7 @@ def _fan_out(work, jobs, workers: int):
     Results come back one at a time in job order, so a merge over them is
     the same for any worker count and need not hold them all at once.
     """
-    workers = min(workers, len(jobs))
+    workers = min(_size(workers, 0, "workers"), len(jobs))
     if workers <= 1:
         yield from map(work, jobs)
     else:
@@ -240,9 +237,7 @@ def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> P
     formula; the A/Delta formula is not read. Fans out over sigma(1) when
     workers > 1; the merged result is identical for any worker count.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_bound(n, bound)
+    check_bound(_size(n, 1, "n"), bound)
     jobs = [(n, second) for second in range(min(n, 2), n + 1)]  # sigma(1) = 1 only when n = 1
     counts = sum(_fan_out(_nmin_slice, jobs, workers), Counter())
     return PatternRow(n=n, counts=dict(sorted(counts.items())))
@@ -320,8 +315,8 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     lexicographic suffix comparison; the minimal-alphabet formula is never
     consulted.
     """
-    if n < 2 or N < 1:
-        raise ValueError("need n >= 2 and N >= 1")
+    _size(n, 2, "n")
+    _size(N, 1, "N")
     return frozenset(map(_ranks_of, _least_alphabets(n, N, workers)))
 
 
@@ -352,9 +347,7 @@ def extremal_sextet(n: int) -> frozenset:
     Built from two explicit marked cycles and their rotations and
     transposes, then pulled back through the cycle marking.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    m = (n + 1) // 2
+    m = (_size(n, 3, "n") + 1) // 2
     sigma = tuple(range(n, m, -1)) + (0,) + tuple(range(m, 1, -1))
     tau = (0, 1) + tuple(range(n, m + 1, -1)) + tuple(range(m, 1, -1))
     sigma_inv = marked_inverse(sigma)
@@ -402,8 +395,8 @@ def omega_census(n: int, N: int) -> OmegaCensus:
     zero-tail kernel orders one key q, those symbols with the zero tail
     stripped, per C(N-1, k-1) words, and the oracle's map gives N(pi).
     """
-    if n < 2 or N < 2:
-        raise ValueError("need n, N >= 2")
+    _size(n, 2, "n")
+    _size(N, 2, "N")
     words = {(b + b[n - 1 - t :] * (n - 2)).rstrip(b"\0"): comb(N - 1, k - 1)  # b = u p
              for k in range(1, min(N, n) + 1) for b in _bases(b"", n - 1, frozenset(range(1, k)), k)
              for t in range(1, n) if is_primitive(b[n - 1 - t :])}  # p primitive

@@ -48,6 +48,17 @@ def check_permutation(pi) -> tuple:
     return pi
 
 
+def _size(value, least: int, name: str):
+    """Return value, the one rule for every n, N and other size: an int no smaller than least.
+
+    2.0 and True compare like ints, so the type is tested exactly. The
+    arguments stay positional: pat and psi call it on every query and cell.
+    """
+    if type(value) is not int or value < least:
+        raise ValueError(f"need {name} >= {least}")
+    return value
+
+
 def reduce(values) -> tuple:
     """Relabel distinct values by rank, smallest becoming 1.
 
@@ -92,8 +103,7 @@ def eulerian_row(n: int) -> tuple:
 
     Classical recurrence E(n,k) = (k+1)E(n-1,k) + (n-k)E(n-1,k-1).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _size(n, 1, "n")
     row = [1]
     for m in range(2, n + 1):
         row = [
@@ -168,8 +178,7 @@ def n_cycles(n: int):
 
     Ordered by the cycle 1 -> sigma(1) -> sigma^2(1) -> ... read as a word.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _size(n, 1, "n")
     for second in range(min(n, 2), n + 1):  # sigma(1) = 1 only when n = 1
         for s in _cycles(n, second):
             yield tuple(s[1:-1])
@@ -230,7 +239,7 @@ def _missing_value(mc) -> int:
 
 
 def star_deleted(mc) -> tuple:
-    return tuple(e for e in mc if e != 0)
+    return tuple(e for e in _check_marked_shape(mc) if e)
 
 
 def marked_des(mc) -> int:
@@ -241,25 +250,29 @@ def marked_des(mc) -> int:
     >>> marked_des((0, 1, 4, 2))
     1
     """
-    return descent_count(star_deleted(mc))
+    return _marked_des(_check_marked_shape(mc))
+
+
+def _marked_des(mc) -> int:
+    """marked_des of a tuple trusted to have the marked cycle shape."""
+    return descent_count(e for e in mc if e)
 
 
 def marked_eps(mc) -> int:
     """1 iff the marked cycle looks like [*, 1, ...] or [..., n, *]."""
-    mc = tuple(mc)
-    n = len(mc)
-    if n < 2:
-        raise ValueError("need length >= 2")
-    if mc[0] == 0 and mc[1] == 1:
-        return 1
-    if mc[-1] == 0 and mc[-2] == n:
-        return 1
-    return 0
+    mc = _check_marked_shape(mc)
+    _size(len(mc), 2, "length")
+    return _marked_eps(mc)
+
+
+def _marked_eps(mc) -> int:
+    """marked_eps of a tuple of length >= 2 trusted to have the marked cycle shape."""
+    return int(mc[:2] == (0, 1) or mc[-2:] == (len(mc), 0))
 
 
 def marked_rc(mc) -> tuple:
     """Rotate the dot array of the marked cycle by 180 degrees."""
-    mc = tuple(mc)
+    mc = _check_marked_shape(mc)
     n = len(mc)
     return tuple((n + 1 - e) if e else 0 for e in reversed(mc))
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutations import _positions, _theta, check_permutation, marked_des, marked_eps, theta
+from .permutations import (_marked_des, _marked_eps, _positions, _size, _theta,
+                           check_permutation, theta)
 from .words import EventuallyPeriodicWord, pat
 
 __all__ = [
@@ -34,8 +35,7 @@ __all__ = [
 def _checked(pi):
     """Check pi once for a public entry point; the (pi, inv) it returns feed the _kernels."""
     pi = check_permutation(pi)
-    if len(pi) < 2:
-        raise ValueError("need length >= 2")
+    _size(len(pi), 2, "length")
     return pi, _positions(pi)
 
 
@@ -102,7 +102,7 @@ def n_min_marked(pi) -> int:
     mc = theta(pi)
     if len(mc) == 1:
         return 1
-    return 1 + marked_des(mc) + marked_eps(mc)
+    return 1 + _marked_des(mc) + _marked_eps(mc)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def explain_nmin(pi) -> NminExplanation:
     if len(pi) == 1:
         return NminExplanation(1, frozenset(), 0, None, mc, 0, 0)
     _, strict, d, case, N = _walk(pi, _positions(pi))
-    return NminExplanation(N, frozenset(strict), d, case, mc, marked_des(mc), marked_eps(mc))
+    return NminExplanation(N, frozenset(strict), d, case, mc, _marked_des(mc), _marked_eps(mc))
 
 
 @dataclass(frozen=True)

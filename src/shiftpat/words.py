@@ -13,7 +13,7 @@ from functools import cache
 from math import lcm
 from operator import itemgetter
 
-from .permutations import _order_of, _ranks_of
+from .permutations import _order_of, _ranks_of, _size
 
 LT, EQ, GT = -1, 0, 1
 
@@ -63,8 +63,7 @@ def mobius(d: int) -> int:
     >>> [mobius(d) for d in (1, 2, 3, 4, 6, 12)]
     [1, -1, -1, 0, 1, 0]
     """
-    if d < 1:
-        raise ValueError("mobius needs a positive integer")
+    _size(d, 1, "d")
     out = 1
     q = 2
     while q * q <= d:
@@ -103,8 +102,8 @@ def psi(N: int, t: int) -> int:
     psi_N(t) = sum over d | t of mobius(d) * N^(t/d); the divisors and
     their Moebius values are factored once per t.
     """
-    if N < 0 or t < 1:
-        raise ValueError("need N >= 0 and t >= 1")
+    _size(N, 0, "N")
+    _size(t, 1, "t")
     return sum(mu * N**e for mu, e in _psi_terms(t))
 
 
@@ -155,17 +154,13 @@ class EventuallyPeriodicWord:
 
     def symbol_at(self, i: int) -> int:
         """The i-th symbol, 1-indexed."""
-        if i < 1:
-            raise ValueError("positions are 1-indexed")
-        if i <= len(self.pre):
+        if _size(i, 1, "i") <= len(self.pre):
             return self.pre[i - 1]
         return self.per[(i - len(self.pre) - 1) % len(self.per)]
 
     def suffix(self, k: int) -> "EventuallyPeriodicWord":
         """Left shift by k-1 letters; suffix(w, 1) is w itself."""
-        if k < 1:
-            raise ValueError("positions are 1-indexed")
-        drop = k - 1
+        drop = _size(k, 1, "k") - 1
         if drop <= len(self.pre):
             return self._canonical(self.pre[drop:], self.per, self.alphabet_size)
         off = (drop - len(self.pre)) % len(self.per)
@@ -173,7 +168,7 @@ class EventuallyPeriodicWord:
 
     def unroll(self, length: int) -> tuple:
         """The first `length` symbols as a tuple."""
-        if length <= len(self.pre):
+        if _size(length, 0, "length") <= len(self.pre):
             return self.pre[:length]
         reps = -((len(self.pre) - length) // len(self.per))
         return (self.pre + self.per * reps)[:length]
@@ -276,9 +271,7 @@ def pat(w: EventuallyPeriodicWord, n: int):
     Entry i is the lexicographic rank of suffix(w, i) among the first n
     suffixes (1 = smallest).
     """
-    if n < 1:
-        raise ValueError("pattern length must be >= 1")
-    order = _order(w.pre, w.per, n)
+    order = _order(w.pre, w.per, _size(n, 1, "n"))
     return None if order is None else _ranks_of(order)
 
 

@@ -415,7 +415,9 @@ class TestXcheck:
         code, out, err = run_cli(capsys, "xcheck", n_max, N_max)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == "error: need n_max >= 2 and N_max >= 2\n"
+        # n_max is checked first, and the message names the one size it rejects
+        rejected = "n_max" if n_max == "1" else "N_max"
+        assert err == f"error: need {rejected} >= 2\n"
 
     def test_mismatch_exit(self, capsys, monkeypatch):
         real = cli.count_row

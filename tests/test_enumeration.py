@@ -690,7 +690,8 @@ class TestIndependence:
 
     # the A/Delta and marked-cycle formulas for N(pi), and the brute sweep over them
     FORMULAS = ("_n_min", "n_min", "n_min_marked", "theta", "_theta", "_walk", "_delta",
-                "marked_des", "marked_eps", "_nmin_slice", "enumerate_by_nmin")
+                "marked_des", "marked_eps", "_marked_des", "_marked_eps", "_nmin_slice",
+                "enumerate_by_nmin")
     # the closed forms: psi, mobius, their sums and the binomial inversion, unrolled or not
     CLOSED = ("_alternate", "_primitive_sum", "mobius", "psi", "solve_recurrence")
     # the word-family oracle

@@ -1,5 +1,7 @@
 """The public surface: one integer rule at each input boundary, one module per exported name."""
 
+import re
+from argparse import Namespace
 from collections import Counter
 
 import pytest
@@ -7,17 +9,36 @@ import pytest
 import shiftpat
 from shiftpat import (
     EventuallyPeriodicWord,
+    check_conjecture1,
     check_permutation,
+    cli,
     conjectures,
+    count_a,
+    count_binary,
+    count_row,
+    count_table,
+    enumerate_by_nmin,
     enumeration,
+    eulerian_row,
     explain_nmin,
+    extremal_sextet,
+    marked_des,
+    marked_eps,
     marked_inverse,
+    marked_rc,
+    mobius,
+    n_cycles,
     n_min,
+    omega_census,
+    oracle_allowed,
+    pat,
     permutations,
     phi,
     phi_inv,
+    psi,
     realization,
     realize_check,
+    star_deleted,
     theta,
     theta_inv,
     witness,
@@ -74,6 +95,62 @@ def test_marked_entries_take_ints_only(entry, bad):
 def test_word_constructor_takes_ints_only(args):
     with pytest.raises(ValueError, match="must be integers"):
         EventuallyPeriodicWord(*args)
+
+
+def xcheck(n_max, N_max):
+    return cli._cmd_xcheck(Namespace(n_max=n_max, N_max=N_max, threads=1))
+
+
+# Every size argument: (call on the size, its name, the least value it takes).
+SIZES = {
+    "xcheck n_max": (lambda v: xcheck(v, 3), "n_max", 2),
+    "xcheck N_max": (lambda v: xcheck(3, v), "N_max", 2),
+    "check_conjecture1": (check_conjecture1, "n", 1),
+    "count_binary": (count_binary, "n", 2),
+    "count_a n": (lambda v: count_a(v, 3), "n", 2),
+    "count_row n": (lambda v: count_row(v, 3), "n", 2),
+    "count_row N": (lambda v: count_row(5, v), "N", 2),
+    "count_table": (count_table, "n_max", 2),  # raises on the call, before any row is read
+    "enumerate_by_nmin n": (enumerate_by_nmin, "n", 1),
+    "enumerate_by_nmin workers": (lambda v: enumerate_by_nmin(4, workers=v), "workers", 0),
+    "oracle_allowed n": (lambda v: oracle_allowed(v, 2), "n", 2),
+    "oracle_allowed N": (lambda v: oracle_allowed(4, v), "N", 1),
+    "oracle_allowed workers": (lambda v: oracle_allowed(5, 3, workers=v), "workers", 0),
+    "extremal_sextet": (extremal_sextet, "n", 3),
+    "omega_census n": (lambda v: omega_census(v, 2), "n", 2),
+    "omega_census N": (lambda v: omega_census(3, v), "N", 2),
+    "eulerian_row": (eulerian_row, "n", 1),
+    "n_cycles": (lambda v: list(n_cycles(v)), "n", 1),
+    "mobius": (mobius, "d", 1),
+    "psi N": (lambda v: psi(v, 3), "N", 0),
+    "psi t": (lambda v: psi(2, v), "t", 1),
+    "pat": (lambda v: pat(WORD, v), "n", 1),
+    "symbol_at": (WORD.symbol_at, "i", 1),
+    "suffix": (WORD.suffix, "k", 1),
+    "unroll": (WORD.unroll, "length", 0),
+}
+MARKED_STATISTICS = [marked_des, marked_eps, marked_rc, star_deleted]
+# One table of bad input: a float, True and one below the least for each size, and
+# marked cycle statistics given what is not a marked cycle; (call, bad value, message).
+BOUNDARY = {
+    **{f"{key} {bad!r}": (call, bad, f"need {name} >= {least}")
+       for key, (call, name, least) in SIZES.items() for bad in (2.0, True, least - 1)},
+    **{f"{f.__name__} {mc!r}": (f, mc, f"not a marked cycle shape: {mc!r}")
+       for f in MARKED_STATISTICS for mc in [(2.0, 0), (5, 5), (7, 7, 7), (9,)]},
+}
+
+
+@pytest.mark.parametrize("call, least", [(c, least) for c, _, least in SIZES.values()], ids=SIZES)
+def test_size_entries_take_their_least(call, least):
+    # BOUNDARY alone cannot tell a least set one too high from the right one
+    call(least)
+
+
+@pytest.mark.parametrize("call, bad, message", BOUNDARY.values(), ids=BOUNDARY)
+def test_boundary_raises_value_error(call, bad, message):
+    # a ValueError with the rule's own message: never a TypeError from inside, never a value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 def test_realize_check_rejects_a_non_permutation():
