@@ -37,6 +37,7 @@ __all__ = [
     "forbidden",
     "minimal_forbidden",
     "extremal_sextet",
+    "CensusCounts",
     "OmegaCensus",
     "omega_census",
 ]
@@ -49,8 +50,8 @@ class BoundExceededError(ValueError):
 
 
 def check_bound(n: int, bound: int = DEFAULT_BOUND) -> None:
-    """Raise BoundExceededError if a sweep over S_n is past its bound."""
-    if n > bound:
+    """Raise BoundExceededError if a sweep over S_n is past its bound, an int >= 0."""
+    if n > _size(bound, 0, "bound"):
         raise BoundExceededError(f"n={n} exceeds the sweep bound {bound}")
 
 
@@ -112,6 +113,7 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
     """
     _size(n, 2, "n")
     _size(N_max, 2, "N")
+    _size(workers, 0, "workers")  # for every method, not only the sweeps
     if kind not in _TERMS:
         raise ValueError(f"unknown kind: {kind!r}")
     if method in ("brute", "oracle") and kind != "a":
@@ -363,79 +365,64 @@ def extremal_sextet(n: int) -> frozenset:
 
 
 @dataclass
-class OmegaCensus:
-    """Bucket counts for the word family u p^(n-1) 0^inf, with predictions.
+class CensusCounts:
+    """One side of the census of the word family u p^(n-1) 0^inf, counted or predicted.
 
     buckets[j] counts words whose pattern needs exactly N-j symbols;
-    theta_buckets restricts to words whose pattern ends with rank 1.
-    Each actual count sits next to the closed-form prediction; ok is
-    the conjunction of all the comparisons.
+    theta_total and theta_buckets restrict to words whose pattern ends with rank 1.
     """
+
+    total: int
+    undefined: int
+    buckets: dict
+    theta_total: int
+    theta_buckets: dict
+
+
+@dataclass
+class OmegaCensus:
+    """The census counted and predicted by the closed forms; ok iff the two agree and add up."""
 
     n: int
     N: int
-    total: int
-    total_predicted: int
-    undefined: int
-    undefined_predicted: int
-    buckets: dict
-    buckets_predicted: dict
-    theta_total: int
-    theta_total_predicted: int
-    theta_buckets: dict
-    theta_buckets_predicted: dict
+    actual: CensusCounts
+    predicted: CensusCounts
     ok: bool
 
 
 def omega_census(n: int, N: int) -> OmegaCensus:
     """Partition u p^(n-1) 0^inf words by the alphabet need of their pattern.
 
-    Reads no N(pi) formula and walks only the oracle's bases: a word whose
-    nonzero symbols are k-1 of 1..N-1 relabels in order onto 0..k-1, so the
-    zero-tail kernel orders one key q, those symbols with the zero tail
-    stripped, per C(N-1, k-1) words, and the oracle's map gives N(pi).
+    Reads no N(pi) formula and walks only the oracle's bases b = u p, once
+    each and keeping no word: a word whose nonzero symbols are k-1 of
+    1..N-1 relabels in order onto 0..k-1, so the zero-tail kernel orders
+    one word per C(N-1, k-1) census words, and the oracle's map gives N(pi).
     """
     _size(n, 2, "n")
     _size(N, 2, "N")
-    words = {(b + b[n - 1 - t :] * (n - 2)).rstrip(b"\0"): comb(N - 1, k - 1)  # b = u p
-             for k in range(1, min(N, n) + 1) for b in _bases(b"", n - 1, frozenset(range(1, k)), k)
-             for t in range(1, n) if is_primitive(b[n - 1 - t :])}  # p primitive
     least = _least_alphabets(n, N, 1)
     buckets, theta_buckets = dict.fromkeys(range(N - 1), 0), dict.fromkeys(range(N - 1), 0)
-    undefined = 0
-    for q, weight in words.items():
-        order = _order(q, b"\0", n)
-        if order is None:
-            undefined += weight
-        elif order in least:  # an order the oracle lacks is counted nowhere, and fails ok
-            j = N - least[order]
-            buckets[j] += weight
-            theta_buckets[j] += weight * (order[0] == n - 1)  # pi(n) = 1: suffix n is the least
+    total = undefined = 0
+    for k in range(1, min(N, n) + 1):
+        weight = comb(N - 1, k - 1)
+        for b in _bases(b"", n - 1, frozenset(range(1, k)), k):  # b = u p, cut at every |p|
+            for p in filter(is_primitive, (b[t:] for t in range(n - 1))):
+                total += weight
+                order = _order(b + p * (n - 2), b"\0", n)
+                if order is None:
+                    undefined += weight
+                elif order in least:  # an order the oracle lacks is counted nowhere, and fails ok
+                    j = N - least[order]
+                    buckets[j] += weight
+                    theta_buckets[j] += weight * (order[0] == n - 1)  # pi(n) = 1: suffix n is least
+    actual = CensusCounts(total, undefined, buckets, sum(theta_buckets.values()), theta_buckets)
     g_row, h_row = count_row(n, N, "g"), count_row(n, N, "h")
-    buckets_predicted = {j: comb(n + j - 1, j) * g_row[N - 2 - j] for j in range(N - 1)}
-    theta_buckets_predicted = {j: comb(n + j - 1, j) * h_row[N - 2 - j] for j in range(N - 1)}
-    total, total_predicted = sum(words.values()), _primitive_sum(n, N)
-    undefined_predicted = N ** (n - 2)
-    theta_total, theta_total_predicted = sum(theta_buckets.values()), (N - 1) * N ** (n - 2)
-    return OmegaCensus(
-        n=n,
-        N=N,
-        total=total,
-        total_predicted=total_predicted,
-        undefined=undefined,
-        undefined_predicted=undefined_predicted,
-        buckets=buckets,
-        buckets_predicted=buckets_predicted,
-        theta_total=theta_total,
-        theta_total_predicted=theta_total_predicted,
-        theta_buckets=theta_buckets,
-        theta_buckets_predicted=theta_buckets_predicted,
-        ok=(
-            total == total_predicted
-            and undefined == undefined_predicted
-            and buckets == buckets_predicted
-            and theta_total == theta_total_predicted
-            and theta_buckets == theta_buckets_predicted
-            and undefined + sum(buckets.values()) == total
-        ),
+    predicted = CensusCounts(
+        total=_primitive_sum(n, N),
+        undefined=N ** (n - 2),
+        buckets={j: comb(n + j - 1, j) * g_row[N - 2 - j] for j in range(N - 1)},
+        theta_total=(N - 1) * N ** (n - 2),
+        theta_buckets={j: comb(n + j - 1, j) * h_row[N - 2 - j] for j in range(N - 1)},
     )
+    ok = actual == predicted and undefined + sum(buckets.values()) == total
+    return OmegaCensus(n, N, actual, predicted, ok)

@@ -238,10 +238,10 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     constant tail to the forced prefix when pi(n) is 1 resp. n, and
     E/F handle an interior pi(n) whose neighbor gap is strict. With no
     variant requested, A is chosen when pi(n-1) > pi(n), else B. The
-    repetition count m must keep (m-1)(n-k) >= n-2 and defaults to the
-    least m that does, 1 + ceil((n-2)/(n-k)): about 2n symbols in the
-    word where m = n-1 would give about n^2 (the two agree when n <= 3
-    or k = n-1).
+    repetition count m, an int >= 1, must keep (m-1)(n-k) >= n-2 and
+    defaults to the least m that does, 1 + ceil((n-2)/(n-k)): about 2n
+    symbols in the word where m = n-1 would give about n^2 (the two
+    agree when n <= 3 or k = n-1).
 
     >>> witness((4, 3, 6, 1, 5, 2)).word.to_string()
     '103020302(0)'
@@ -249,16 +249,16 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     pi, inv = _checked(pi)
     n = len(pi)
     b = pi[-1]
-    case = _delta(pi, inv)[1]
+    if m is not None:
+        _size(m, 1, "m")
     if variant is None:
         variant = "A" if pi[-2] > b else "B"
     variant = str(variant).upper()
-    if m is not None and (not isinstance(m, int) or isinstance(m, bool)):
-        raise ValueError("m must be an integer")
     if variant not in ("A", "B") and m is not None:
         raise ValueError("m applies only to variants A and B")
     if variant not in _VARIANTS:
         raise ValueError(f"unknown witness variant: {variant!r}")
+    prefix, _, _, case, N = _walk(pi, inv)
     applies, message = _VARIANTS[variant]
     if not applies(n, b, case):
         raise ValueError(message)
@@ -266,10 +266,9 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     if variant in ("A", "B"):
         k = inv[b + 1 if variant == "A" else b - 1]
         reps = 1 - (2 - n) // (n - k) if m is None else m  # 1 + ceil((n-2)/(n-k))
-        if reps < 1 or (reps - 1) * (n - k) < n - 2:
+        if (reps - 1) * (n - k) < n - 2:
             raise ValueError(f"m={reps} is below the repetition bound for k={k}")
-    # pi and the variant are valid from here on: build the word
-    prefix, _, _, _, N = _walk(pi, inv)
+    # pi, the variant and m are valid from here on: build the word
     if k is not None:
         prefix = prefix[: k - 1] + prefix[k - 1 :] * reps
     elif variant in ("E", "F"):

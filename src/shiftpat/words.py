@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from math import lcm
+from math import gcd
 from operator import itemgetter
 
 from .permutations import _order_of, _ranks_of, _size
@@ -252,10 +252,13 @@ def _parse_symbols(token: str) -> tuple:
 def compare(w1: EventuallyPeriodicWord, w2: EventuallyPeriodicWord) -> int:
     """Exact lexicographic order of two infinite words: LT, EQ or GT.
 
-    Symbols are compared up to position |pre1| + |pre2| + lcm(|per1|, |per2|);
-    beyond that the words are equal if no difference has appeared.
+    Past position L = max(|pre1|, |pre2|) the two words are periodic with
+    periods p = |per1| and q = |per2|, and by Fine and Wilf two such tails
+    that agree on p + q - gcd(p, q) symbols agree everywhere. So symbols are
+    compared up to position L + p + q - gcd(p, q), and no further.
     """
-    bound = len(w1.pre) + len(w2.pre) + lcm(len(w1.per), len(w2.per))
+    p, q = len(w1.per), len(w2.per)
+    bound = max(len(w1.pre), len(w2.pre)) + p + q - gcd(p, q)
     a = w1.unroll(bound)
     b = w2.unroll(bound)
     if a < b:

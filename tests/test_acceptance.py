@@ -204,11 +204,12 @@ def test_criterion_08_census_identities():
         for n in range(2, 7):
             for N in (2, 3):
                 census = omega_census(n, N)
-                assert census.total == census.total_predicted, (n, N)
-                assert census.undefined == census.undefined_predicted, (n, N)
-                assert census.theta_total == census.theta_total_predicted, (n, N)
-                assert census.buckets == census.buckets_predicted, (n, N)
-                assert census.theta_buckets == census.theta_buckets_predicted, (n, N)
+                actual, predicted = census.actual, census.predicted
+                assert actual.total == predicted.total, (n, N)
+                assert actual.undefined == predicted.undefined, (n, N)
+                assert actual.theta_total == predicted.theta_total, (n, N)
+                assert actual.buckets == predicted.buckets, (n, N)
+                assert actual.theta_buckets == predicted.theta_buckets, (n, N)
                 assert census.ok
 
     _verdict(8, "word-family census identities for n <= 6, N <= 3", body)

@@ -599,6 +599,12 @@ class TestBoundaryChecks:
         ("n_min_marked((1,))", 1),
         ("EventuallyPeriodicWord((), (0,)) == '(0)'", False),  # __eq__ returns NotImplemented
         ("run_quiet('sextet', '2')", (EXIT_USAGE, "", "error: need n >= 3\n")),
+        ("run_quiet('pat', '1([])', '3')", (EXIT_MALFORMED, "", "error: period must be nonempty\n")),
+        ("run_quiet('witness', '436152', '--m', '0')", (EXIT_USAGE, "", "error: need m >= 1\n")),
+        ("run_quiet('conjecture1', '4', '--bound', '-1')",
+         (EXIT_USAGE, "", "error: need bound >= 0\n")),
+        ("run_quiet('conjecture1', '4', '--bound', '0')",
+         (EXIT_BOUND, "", "error: n=4 exceeds the sweep bound 0\n")),
     ])
     def test_check(self, call, expected):
         names = {**vars(shiftpat), "run_quiet": run_quiet}

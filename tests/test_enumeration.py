@@ -36,6 +36,7 @@ from shiftpat import (
     solve_recurrence,
 )
 from shiftpat.enumeration import (
+    CensusCounts,
     OmegaCensus,
     _alternate,
     _bases,
@@ -149,16 +150,15 @@ def census_reference(n, N):
         if pattern[-1] == 1:
             theta_buckets[j] += 1
     g_row, h_row = count_row(n, N, "g"), count_row(n, N, "h")
-    actual = (len(words), undefined, buckets, sum(theta_buckets.values()), theta_buckets)
-    predicted = (
+    actual = CensusCounts(len(words), undefined, buckets, sum(theta_buckets.values()), theta_buckets)
+    predicted = CensusCounts(
         _primitive_sum(n, N),
         N ** (n - 2),
         {j: math.comb(n + j - 1, j) * g_row[N - 2 - j] for j in range(N - 1)},
         (N - 1) * N ** (n - 2),
         {j: math.comb(n + j - 1, j) * h_row[N - 2 - j] for j in range(N - 1)},
     )
-    fields = [value for pair in zip(actual, predicted) for value in pair]
-    return asdict(OmegaCensus(n, N, *fields, actual == predicted))
+    return asdict(OmegaCensus(n, N, actual, predicted, actual == predicted))
 
 
 def psi_horner_sum(n, M):
@@ -228,7 +228,7 @@ class TestClosedForms:
     def test_primitive_sums_call_no_psi(self, monkeypatch):
         def cells():
             return (count_row(24, 23), count_row(24, 23, method="recurrence"),
-                    count_binary(48), omega_census(6, 4).total_predicted)
+                    count_binary(48), omega_census(6, 4).predicted.total)
 
         expected = cells()
         poison(monkeypatch, "psi")
@@ -619,16 +619,16 @@ class TestOmegaCensus:
                 assert census.ok, (n, N, census)
 
     def test_binary_length_four_sizes(self):
-        census = omega_census(4, 2)
+        census = omega_census(4, 2).actual
         assert census.total == 18
         assert census.undefined == 4
         assert census.theta_total == 4
 
     def test_bucket_shapes(self):
         census = omega_census(6, 3)
-        assert census.buckets == census.buckets_predicted
-        assert census.theta_buckets == census.theta_buckets_predicted
-        assert census.total == census.total_predicted
+        assert census.actual.buckets == census.predicted.buckets
+        assert census.actual.theta_buckets == census.predicted.theta_buckets
+        assert census.actual.total == census.predicted.total
 
     # every cell with n <= 7 and N <= 4, two whose alphabets k reach n, and
     # one whose weights stand for symbols past 255
@@ -670,7 +670,8 @@ class TestOmegaCensus:
         monkeypatch.setattr(enumeration, "_least_alphabets", short)
         census = omega_census(5, 3)
         assert not census.ok
-        assert (census.total, census.undefined) == (census.total_predicted, census.undefined_predicted)
+        assert (census.actual.total, census.actual.undefined) == (census.predicted.total,
+                                                                  census.predicted.undefined)
 
 
 def poison(monkeypatch, *names):

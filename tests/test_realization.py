@@ -345,12 +345,22 @@ class TestWitness:
         ids=["A", "B", "C", "D", "E", "F", "A-m1"],
     )
     def test_rejects_before_building(self, monkeypatch, pi, variant, m, message):
+        # the one walk gives Delta's case, which E and F need; no word is built after it
         def unreachable(*args):
             raise AssertionError("built a word for a rejected request")
 
-        monkeypatch.setattr(realization, "_walk", unreachable)
+        walks = []
+        walk = realization._walk
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(realization, "_walk", counted)
+        monkeypatch.setattr(EventuallyPeriodicWord, "_canonical", unreachable)
         with pytest.raises(ValueError, match=message):
             witness(pi, variant, m)
+        assert len(walks) == 1
 
     @pytest.mark.parametrize("variant", ["Z", "G", "AB", ""])
     def test_unknown_variant(self, variant):
@@ -374,7 +384,7 @@ class TestWitness:
     def test_m_must_be_an_integer(self, variant, m):
         # checked before every other m check, so never truncated and never
         # mistaken for an m given to the wrong variant
-        with pytest.raises(ValueError, match="m must be an integer"):
+        with pytest.raises(ValueError, match="^need m >= 1$"):
             witness((3, 1, 2), variant=variant, m=m)
 
     def test_soundness_all_variants_small(self):

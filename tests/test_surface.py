@@ -8,6 +8,7 @@ import pytest
 
 import shiftpat
 from shiftpat import (
+    BoundExceededError,
     EventuallyPeriodicWord,
     check_conjecture1,
     check_permutation,
@@ -101,17 +102,31 @@ def xcheck(n_max, N_max):
     return cli._cmd_xcheck(Namespace(n_max=n_max, N_max=N_max, threads=1))
 
 
+def refused_at_one(sweep):
+    """sweep(1, bound=v): a bound the rule takes but below n = 1 refuses the sweep, not the bound."""
+    def call(bound):
+        with pytest.raises(BoundExceededError):
+            sweep(1, bound=bound)
+    return call
+
+
 # Every size argument: (call on the size, its name, the least value it takes).
 SIZES = {
     "xcheck n_max": (lambda v: xcheck(v, 3), "n_max", 2),
     "xcheck N_max": (lambda v: xcheck(3, v), "N_max", 2),
     "check_conjecture1": (check_conjecture1, "n", 1),
+    "check_conjecture1 bound": (refused_at_one(check_conjecture1), "bound", 0),
     "count_binary": (count_binary, "n", 2),
     "count_a n": (lambda v: count_a(v, 3), "n", 2),
+    "count_a workers closed": (lambda v: count_a(5, 3, "closed", v), "workers", 0),
+    "count_a workers recurrence": (lambda v: count_a(5, 3, "recurrence", v), "workers", 0),
     "count_row n": (lambda v: count_row(v, 3), "n", 2),
     "count_row N": (lambda v: count_row(5, v), "N", 2),
+    "count_row workers closed": (lambda v: count_row(5, 3, "a", "closed", v), "workers", 0),
+    "count_row workers recurrence": (lambda v: count_row(5, 3, "g", "recurrence", v), "workers", 0),
     "count_table": (count_table, "n_max", 2),  # raises on the call, before any row is read
     "enumerate_by_nmin n": (enumerate_by_nmin, "n", 1),
+    "enumerate_by_nmin bound": (refused_at_one(enumerate_by_nmin), "bound", 0),
     "enumerate_by_nmin workers": (lambda v: enumerate_by_nmin(4, workers=v), "workers", 0),
     "oracle_allowed n": (lambda v: oracle_allowed(v, 2), "n", 2),
     "oracle_allowed N": (lambda v: oracle_allowed(4, v), "N", 1),
@@ -128,6 +143,7 @@ SIZES = {
     "symbol_at": (WORD.symbol_at, "i", 1),
     "suffix": (WORD.suffix, "k", 1),
     "unroll": (WORD.unroll, "length", 0),
+    "witness m": (lambda v: witness((2, 1), m=v), "m", 1),  # n = 2 admits m = 1
 }
 MARKED_STATISTICS = [marked_des, marked_eps, marked_rc, star_deleted]
 # One table of bad input: a float, True and one below the least for each size, and

@@ -1,6 +1,7 @@
 """Eventually periodic words: normal form, order, Pat, primitivity counts."""
 
 import math
+import tracemalloc
 from functools import cmp_to_key
 from itertools import product
 
@@ -189,6 +190,33 @@ class TestCompare:
     def test_antisymmetric(self, a, b):
         assert compare(a, b) == -compare(b, a)
         assert (compare(a, b) == EQ) == (a == b)
+
+    def test_coprime_periods_read_no_lcm(self):
+        # periods 1,999 and 1,997 agree on 1,996 symbols; an lcm unroll takes
+        # 3,992,003 symbols of each word, Fine and Wilf's bound 3,995
+        a = EventuallyPeriodicWord((), (0,) * 1998 + (1,))
+        b = EventuallyPeriodicWord((), (0,) * 1996 + (1,))
+        tracemalloc.start()
+        try:
+            assert (compare(a, b), compare(b, a), compare(a, a)) == (LT, GT, EQ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @given(words(max_pre=8, max_per=12, alphabet=st.integers(1, 3)), st.data())
+    def test_equals_a_long_unroll(self, a, data):
+        # b is drawn at random, or its period is a cut of a's repeated period,
+        # so that the two agree far past their preperiods
+        if data.draw(st.booleans()):
+            b = data.draw(words(max_pre=8, max_per=12, alphabet=st.integers(1, 3)))
+        else:
+            per = a.per * 4
+            b = EventuallyPeriodicWord(a.pre, per[: data.draw(st.integers(1, len(per)))])
+        # past both preperiods, lcm(|per1|, |per2|) symbols settle the order
+        width = len(a.pre) + len(b.pre) + math.lcm(len(a.per), len(b.per))
+        x, y = a.unroll(width), b.unroll(width)
+        assert compare(a, b) == (x > y) - (x < y)
 
     @given(words(), words(), words())
     def test_transitive(self, a, b, c):
