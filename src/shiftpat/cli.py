@@ -18,7 +18,6 @@ is a refutation and exits 3; a ValueError from a handler prints one
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -293,6 +292,8 @@ def main(argv=None) -> int:
             return EXIT_MALFORMED
         return EXIT_BOUND if isinstance(exc, BoundExceededError) else EXIT_USAGE
     if args.json:
+        import json  # here, so that a text command never loads it
+
         print(json.dumps({"input": given, "result": result, "details": details}))
     else:
         for line in lines:

@@ -9,8 +9,8 @@ outcome that the command line maps to its own exit code.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial, gcd
+from typing import NamedTuple
 
 from .enumeration import DEFAULT_BOUND, check_bound, count_table
 from .permutations import _size, descent_set, theta_inv
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class DescentDistribution:
+class DescentDistribution(NamedTuple):
     """Population counts of descent sets, with the descent-number marginal."""
 
     by_set: dict
@@ -100,8 +99,7 @@ def _by_exact_set(n: int, at_most) -> list:
     return exact
 
 
-@dataclass
-class Conjecture1Report:
+class Conjecture1Report(NamedTuple):
     n: int
     matches: bool
     t0_distribution: DescentDistribution
@@ -163,8 +161,7 @@ def phi_inv(tc) -> tuple:
     return (0, 1) + tuple(e + 2 for e in tc)
 
 
-@dataclass
-class DivisibilityCell:
+class DivisibilityCell(NamedTuple):
     n: int
     N: int
     value: int
@@ -173,8 +170,7 @@ class DivisibilityCell:
     six_ok: bool
 
 
-@dataclass
-class Conjecture2Report:
+class Conjecture2Report(NamedTuple):
     n_max: int
     cells: list
     all_even: bool

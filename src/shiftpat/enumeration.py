@@ -11,11 +11,10 @@ n*N^(n-1); that asymptotic is informational only.)
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 from math import comb
 from operator import gt
+from typing import NamedTuple
 
 from .permutations import _cycles, _ranks_of, _size, marked_inverse, marked_rc, reduce, theta_inv
 from .words import _order, _squarefree_below, is_primitive, psi
@@ -180,22 +179,37 @@ def solve_recurrence(n: int, b) -> tuple:
     return tuple(r)
 
 
+def __getattr__(name: str):
+    """Import ProcessPoolExecutor on the first read of it and bind it here (PEP 562).
+
+    Only a sweep on two or more workers runs a pool, so a one-worker
+    process never loads multiprocessing. Every other name is missing.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _fan_out(work, jobs, workers: int):
     """Yield work(job) for job in jobs, on min(workers, len(jobs)) processes when that exceeds 1.
 
     Results come back one at a time in job order, so a merge over them is
-    the same for any worker count and need not hold them all at once.
+    the same for any worker count and need not hold them all at once. The
+    pool is whatever class enumeration.ProcessPoolExecutor names at the call.
     """
     workers = min(_size(workers, 0, "workers"), len(jobs))
     if workers <= 1:
         yield from map(work, jobs)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=workers) as pool:
             yield from pool.map(work, jobs)
 
 
-@dataclass
-class PatternRow:
+class PatternRow(NamedTuple):
     """Stratification of S_n by minimal alphabet size."""
 
     n: int
@@ -364,8 +378,7 @@ def extremal_sextet(n: int) -> frozenset:
     return frozenset(theta_inv(mc) for mc in marked)
 
 
-@dataclass
-class CensusCounts:
+class CensusCounts(NamedTuple):
     """One side of the census of the word family u p^(n-1) 0^inf, counted or predicted.
 
     buckets[j] counts words whose pattern needs exactly N-j symbols;
@@ -379,8 +392,7 @@ class CensusCounts:
     theta_buckets: dict
 
 
-@dataclass
-class OmegaCensus:
+class OmegaCensus(NamedTuple):
     """The census counted and predicted by the closed forms; ok iff the two agree and add up."""
 
     n: int

@@ -10,7 +10,7 @@ are built from that prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .permutations import (_marked_des, _marked_eps, _positions, _size, _theta,
                            check_permutation, theta)
@@ -23,8 +23,6 @@ __all__ = [
     "n_min_marked",
     "NminExplanation",
     "explain_nmin",
-    "RequiredChain",
-    "required_chain",
     "base_assignment",
     "WitnessSpec",
     "witness",
@@ -105,8 +103,7 @@ def n_min_marked(pi) -> int:
     return 1 + _marked_des(mc) + _marked_eps(mc)
 
 
-@dataclass(frozen=True)
-class NminExplanation:
+class NminExplanation(NamedTuple):
     """N(pi) with both of its derivations: A(pi) and Delta, and theta(pi) with des and eps."""
 
     n_min: int
@@ -130,42 +127,6 @@ def explain_nmin(pi) -> NminExplanation:
         return NminExplanation(1, frozenset(), 0, None, mc, 0, 0)
     _, strict, d, case, N = _walk(pi, _positions(pi))
     return NminExplanation(N, frozenset(strict), d, case, mc, _marked_des(mc), _marked_eps(mc))
-
-
-@dataclass(frozen=True)
-class RequiredChain:
-    """The forced weak chain on w_1..w_{n-1}, ordered by value of pi.
-
-    order lists positions by increasing value with pi(n)'s slot removed.
-    strict_after holds 1-based gap indices g: the inequality between
-    chain elements g and g+1 is strict. Cases II and III force an extra
-    strict inequality in the tail rather than in the chain; delta_case
-    records which situation applies.
-    """
-
-    order: tuple
-    strict_after: frozenset
-    case_tag: str
-    delta_case: str | None
-
-
-def required_chain(pi) -> RequiredChain:
-    pi, inv = _checked(pi)
-    _, a_values, _, case, _ = _walk(pi, inv)
-    n = len(pi)
-    b = pi[-1]
-    order = tuple(inv[v] for v in range(1, n + 1) if v != b)
-    # value v sits at chain slot v (below b) or v-1 (above b)
-    strict = {a if a < b else a - 1 for a in a_values}
-    if case == "I":
-        strict.add(b - 1)
-    if b == 1:
-        tag = "ends_with_1"
-    elif b == n:
-        tag = "ends_with_n"
-    else:
-        tag = "interior"
-    return RequiredChain(order=order, strict_after=frozenset(strict), case_tag=tag, delta_case=case)
 
 
 def base_assignment(pi) -> tuple:
@@ -207,8 +168,7 @@ def _walk(pi, inv) -> tuple:
     return tuple(w[1:n]), strict, d, case, 1 + len(strict) + d
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(NamedTuple):
     """A realized witness: its variant, split data and the word itself."""
 
     variant: str

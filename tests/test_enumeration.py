@@ -1,8 +1,10 @@
 """Counting formulas, brute-force and word-family oracles, pattern sets."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
-from dataclasses import asdict
 from itertools import permutations, product
 from pathlib import Path
 
@@ -123,7 +125,7 @@ def marks_slice(n, second):
 
 
 def census_reference(n, N):
-    """asdict of omega_census(n, N) by one word object per (u, p), pat and the A/Delta kernel.
+    """omega_census(n, N) by one word object per (u, p), pat and the A/Delta kernel.
 
     The reference for the census's weighted walk over the normalized bases:
     every word over all N symbols is built, equal words collapse through the
@@ -158,7 +160,7 @@ def census_reference(n, N):
         (N - 1) * N ** (n - 2),
         {j: math.comb(n + j - 1, j) * h_row[N - 2 - j] for j in range(N - 1)},
     )
-    return asdict(OmegaCensus(n, N, actual, predicted, actual == predicted))
+    return OmegaCensus(n, N, actual, predicted, actual == predicted)
 
 
 def psi_horner_sum(n, M):
@@ -392,6 +394,59 @@ class TestBruteForce:
         duo = enumerate_by_nmin(7, workers=2)
         assert solo.counts == duo.counts
         assert list(solo.counts) == list(duo.counts)
+
+
+# Run in a fresh interpreter: which modules importing the CLI loads, and
+# which the first two-worker sweep adds.
+STARTUP_PROBE = """
+import sys
+heavy = ("multiprocessing", "concurrent.futures.process", "dataclasses", "inspect")
+before = set(sys.modules)
+import shiftpat.cli
+print(sorted(m for m in heavy if m in sys.modules and m not in before))
+shiftpat.count_row(6, 4, method="oracle", workers=2)
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
+class TestFanOut:
+    def test_cli_start_up_loads_no_pool_and_no_dataclasses(self):
+        src = str(Path(enumeration.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\nTrue\n"
+
+    def test_sweeps_use_the_pool_class_bound_at_the_call(self, monkeypatch):
+        # the traced benchmark swaps a counting subclass into the module
+        jobs = []
+
+        class CountingPool(enumeration.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                batch = list(iterables[0])
+                jobs.append(len(batch))
+                return super().map(fn, batch, *iterables[1:], **kwargs)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
+        assert count_row(6, 4, method="oracle", workers=2) == count_row(6, 4, method="oracle")
+        assert enumerate_by_nmin(6, workers=2).counts == enumerate_by_nmin(6).counts
+        # one pool each: the oracle's jobs (k, first) for k = 2..4, then sigma(1) = 2..6
+        assert jobs == [2 + 3 + 4, 5]
+
+    def test_pool_class_is_imported_on_first_read(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        monkeypatch.delitem(vars(enumeration), "ProcessPoolExecutor", raising=False)
+        assert enumeration.ProcessPoolExecutor is ProcessPoolExecutor
+        assert vars(enumeration)["ProcessPoolExecutor"] is ProcessPoolExecutor
+        with pytest.raises(AttributeError):
+            getattr(enumeration, "nope")
 
 
 class TestOracle:
@@ -635,7 +690,7 @@ class TestOmegaCensus:
     @pytest.mark.parametrize("n, N", [(n, N) for n in range(2, 8) for N in range(2, 5)]
                              + [(4, 6), (5, 5), (2, 300)])
     def test_equals_the_word_object_loop(self, n, N):
-        census, want = asdict(omega_census(n, N)), census_reference(n, N)
+        census, want = omega_census(n, N), census_reference(n, N)
         assert census == want
         assert repr(census) == repr(want)  # the bucket dicts' key order too
 

@@ -20,7 +20,6 @@ from shiftpat import (
     oracle_allowed,
     pat,
     realize_check,
-    required_chain,
     theta,
     witness,
 )
@@ -52,7 +51,7 @@ def applicable_variants(pi):
 @pytest.mark.parametrize("bad", [(), (1, 1), (0, 1), (2, 3)])
 @pytest.mark.parametrize(
     "entry",
-    [a_set, delta, n_min, n_min_marked, explain_nmin, required_chain, base_assignment, witness],
+    [a_set, delta, n_min, n_min_marked, explain_nmin, base_assignment, witness],
     ids=lambda f: f.__name__,
 )
 def test_entry_points_reject_non_permutations(entry, bad):
@@ -173,41 +172,50 @@ class TestExplainNmin:
         assert len(calls) == 1
 
 
+def forced_chain(pi):
+    """(order, strict gaps) of the forced weak chain on w_1..w_{n-1}, read off pi alone.
+
+    order lists the positions 1..n-1 by increasing value. Gap g, between
+    chain elements g and g+1 at positions i and j, is strict when the entry
+    after position i exceeds the entry after position j.
+    """
+    n = len(pi)
+    order = tuple(sorted(range(1, n), key=lambda i: pi[i - 1]))
+    # pi[i] (0-based) is the entry after position i
+    gaps = enumerate(zip(order, order[1:]), start=1)
+    return order, frozenset(g for g, (i, j) in gaps if pi[i] > pi[j])
+
+
 class TestRequiredChain:
     def test_interior_case(self):
-        ch = required_chain((4, 3, 6, 1, 5, 2))
-        assert ch.order == (4, 2, 1, 5, 3)
-        assert ch.strict_after == frozenset({2, 3, 4})
-        assert ch.case_tag == "interior"
-        assert ch.delta_case is None
+        assert forced_chain((4, 3, 6, 1, 5, 2)) == ((4, 2, 1, 5, 3), frozenset({2, 3, 4}))
+        assert delta((4, 3, 6, 1, 5, 2)) == (0, None)
 
     def test_interior_with_extra_strict_gap(self):
-        ch = required_chain((8, 9, 3, 1, 4, 6, 2, 7, 5))
-        assert ch.order == (4, 7, 3, 5, 6, 8, 1, 2)
-        assert ch.strict_after == frozenset({2, 4, 7})
-        assert ch.delta_case == "I"
+        # gap 4 joins the values pi(n) - 1 and pi(n) + 1: the case I step
+        pi = (8, 9, 3, 1, 4, 6, 2, 7, 5)
+        assert forced_chain(pi) == ((4, 7, 3, 5, 6, 8, 1, 2), frozenset({2, 4, 7}))
+        assert delta(pi) == (1, "I")
 
     def test_ends_with_one(self):
-        ch = required_chain((3, 5, 2, 4, 1))
-        assert ch.order == (3, 1, 4, 2)
-        assert ch.strict_after == frozenset({2})
-        assert ch.case_tag == "ends_with_1"
+        assert forced_chain((3, 5, 2, 4, 1)) == ((3, 1, 4, 2), frozenset({2}))
 
     def test_ends_with_n(self):
-        ch = required_chain((2, 3, 1, 4, 5, 6))
-        assert ch.case_tag == "ends_with_n"
-        assert ch.order == (3, 1, 2, 4, 5)
+        assert forced_chain((2, 3, 1, 4, 5, 6))[0] == (3, 1, 2, 4, 5)
 
     def test_strict_gap_accounting(self):
-        # interior delta strictness lands in the chain, tail cases do not
+        # the strict gaps are A(pi), shifted down by one above pi(n), plus the
+        # case I gap pi(n) - 1; the tail cases II and III add none
         for n in range(2, 8):
             for pi in s_n(n):
-                ch = required_chain(pi)
-                d, _ = delta(pi)
-                assert len(ch.order) == n - 1
-                expected = len(a_set(pi)) + (d if ch.case_tag == "interior" else 0)
-                assert len(ch.strict_after) == expected
-                assert all(1 <= g <= n - 2 for g in ch.strict_after)
+                order, strict = forced_chain(pi)
+                b = pi[-1]
+                _, case = delta(pi)
+                assert len(order) == n - 1
+                expected = {a if a < b else a - 1 for a in a_set(pi)}
+                if case == "I":
+                    expected.add(b - 1)
+                assert strict == expected, pi
 
     def test_base_levels_match_alphabet(self):
         # the forced prefix spans every level, leaving the top to the tail
@@ -242,15 +250,16 @@ class TestBaseAssignment:
                 assert 0 <= min(base) and max(base) <= n_min(pi) - 1
 
     def test_one_walk_matches_the_chain(self):
-        # the one walk over the values equals the walk over required_chain's
-        # slots and strict gaps
+        # the one walk over the values equals a walk over the chain built
+        # from pi alone: from 0 (from 1 when pi ends 2, 1), up one at each
+        # strict gap
         for n in range(2, 8):
             for pi in s_n(n):
-                ch = required_chain(pi)
-                value = 1 if ch.delta_case == "II" else 0
+                order, strict = forced_chain(pi)
+                value = 1 if pi[-2:] == (2, 1) else 0
                 w = [0] * (n + 1)
-                for idx, pos in enumerate(ch.order, start=1):
-                    if idx > 1 and idx - 1 in ch.strict_after:
+                for idx, pos in enumerate(order, start=1):
+                    if idx > 1 and idx - 1 in strict:
                         value += 1
                     w[pos] = value
                 assert base_assignment(pi) == tuple(w[1:n]), pi

@@ -197,6 +197,8 @@ REMOVED = [
     "cycle_decomposition",
     "reverse_complement",
     "word_complement",
+    "RequiredChain",
+    "required_chain",
 ]
 
 
