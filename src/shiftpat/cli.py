@@ -18,7 +18,6 @@ is a refutation and exits 3; a ValueError from a handler prints one
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .conjectures import check_conjecture1, check_conjecture2
@@ -150,27 +149,14 @@ def _cmd_conjecture1(args) -> tuple:
 
 def _cmd_conjecture2(args) -> tuple:
     report = check_conjecture2(args.n_max)
-    lines = []
-    cells = []
-    for c in report.cells:
-        six = "yes" if c.six_ok else "NO"
-        lines.append(
-            f"n={c.n} N={c.N} a={c.value} even={'yes' if c.even else 'NO'}"
-            + (f" six={six}" if c.six_claimed else "")
-        )
-        cells.append(
-            {
-                "n": c.n,
-                "N": c.N,
-                "a": c.value,
-                "even": c.even,
-                "six_claimed": c.six_claimed,
-                "six_ok": c.six_ok,
-            }
-        )
+    lines = [
+        f"n={c.n} N={c.N} a={c.a} even={'yes' if c.even else 'NO'}"
+        + (f" six={'yes' if c.six_ok else 'NO'}" if c.six_claimed else "")
+        for c in report.cells
+    ]
     ok = report.verified()
     lines.append(f"conjecture2 up to n={args.n_max}: {'verified' if ok else 'REFUTED'}")
-    return {"n_max": args.n_max}, ok, {"cells": cells}, lines
+    return {"n_max": args.n_max}, ok, {"cells": [c._asdict() for c in report.cells]}, lines
 
 
 def _cmd_xcheck(args) -> tuple:
@@ -195,7 +181,7 @@ def _cmd_xcheck(args) -> tuple:
 
 
 def _worker_count(text: str) -> int:
-    if not text.strip().isdecimal():
+    if not (text.strip().isdecimal() and text.isascii()):
         raise argparse.ArgumentTypeError(f"worker count must be an integer >= 0, not {text!r}")
     return int(text)
 
@@ -206,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=_worker_count,
-        default=os.environ.get("SHIFTPAT_THREADS", "1"),
-        help="worker count for exhaustive sweeps (env SHIFTPAT_THREADS)",
+        default=1,
+        help="worker count for exhaustive sweeps",
     )
     parser = argparse.ArgumentParser(
         prog="shiftpat",

@@ -164,7 +164,7 @@ def phi_inv(tc) -> tuple:
 class DivisibilityCell(NamedTuple):
     n: int
     N: int
-    value: int
+    a: int
     even: bool
     six_claimed: bool
     six_ok: bool
@@ -187,16 +187,16 @@ def check_conjecture2(n_max: int) -> Conjecture2Report:
     nonzero range means 3 <= N <= n-1. Evenness is asserted throughout.
     """
     cells = []
-    for n, N, value in count_table(n_max):
+    for n, N, a in count_table(n_max):
         claimed = N >= 3 and n >= 3
         cells.append(
             DivisibilityCell(
                 n=n,
                 N=N,
-                value=value,
-                even=value % 2 == 0,
+                a=a,
+                even=a % 2 == 0,
                 six_claimed=claimed,
-                six_ok=value % 6 == 0 if claimed else True,
+                six_ok=a % 6 == 0 if claimed else True,
             )
         )
     return Conjecture2Report(

@@ -90,8 +90,11 @@ _TERMS = {
 
 
 def _alternate(n: int, b) -> tuple:
-    """r_N = sum_i (-1)^i C(n, i) b_{N-i} for every N of b, indexed from N = 2."""
-    signed = [(-1) ** i * comb(n, i) for i in range(len(b))]
+    """r_N = sum_i (-1)^i C(n, i) b_{N-i} for every N of b, indexed from N = 2.
+
+    C(n, i) = 0 for i > n, so each r_N sums at most n + 1 terms.
+    """
+    signed = [(-1) ** i * comb(n, i) for i in range(min(len(b), n + 1))]
     return tuple(sum(c * b[k - i] for i, c in enumerate(signed[: k + 1])) for k in range(len(b)))
 
 

@@ -383,7 +383,7 @@ class TestConjectureCommands:
         ]
 
     def test_conjecture2_refuted_exit(self, capsys, monkeypatch):
-        cell = DivisibilityCell(n=4, N=3, value=7, even=False, six_claimed=True, six_ok=False)
+        cell = DivisibilityCell(n=4, N=3, a=7, even=False, six_claimed=True, six_ok=False)
         fake = Conjecture2Report(n_max=4, cells=[cell], all_even=False, refuted=True)
         monkeypatch.setattr(cli, "check_conjecture2", lambda n_max: fake)
         code, out, _ = run_cli(capsys, "conjecture2", "4")
@@ -480,29 +480,28 @@ class TestParsing:
         assert code == EXIT_OK
         assert "shiftpat" in out
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHIFTPAT_THREADS", "3")
-        args = cli.build_parser().parse_args(["allowed", "3", "2"])
-        assert args.threads == 3
-
-    def test_threads_env_not_a_number(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHIFTPAT_THREADS", "abc")
-        code, out, err = run_cli(capsys, "table", "4")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert_one_usage_error(err)
-
     def test_negative_threads(self, capsys):
         code, out, err = run_cli(capsys, "table", "4", "--threads", "-3")
         assert code == EXIT_USAGE
         assert out == ""
         assert_one_usage_error(err)
 
-    def test_explicit_threads_override_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHIFTPAT_THREADS", "abc")
-        code, out, _ = run_cli(capsys, "table", "3", "--threads", "1")
-        assert code == EXIT_OK
-        assert out == "n\tN\ta_nN\n2\t2\t2\n3\t2\t6\n"
+    @pytest.mark.parametrize("digits", ["\u0663", "\uff12"])
+    def test_non_ascii_threads(self, capsys, digits):
+        code, out, err = run_cli(capsys, "table", "3", "--threads", digits)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_usage_error(err)
+
+    def test_environment_changes_nothing(self, capsys, monkeypatch):
+        commands = (("table", "3"), ("allowed", "4", "2"))
+        monkeypatch.delenv("SHIFTPAT_THREADS", raising=False)
+        clean = [run_cli(capsys, *argv)[:2] for argv in commands]
+        assert [code for code, _ in clean] == [EXIT_OK, EXIT_OK]
+        for value in ("abc", "3"):
+            monkeypatch.setenv("SHIFTPAT_THREADS", value)
+            assert [run_cli(capsys, *argv)[:2] for argv in commands] == clean
+            assert cli.build_parser().parse_args(["allowed", "3", "2"]).threads == 1
 
 
 # Literal text for the fuzz test: ASCII digits, the separators and brackets of

@@ -197,9 +197,9 @@ class TestConjecture2:
     def test_worked_cells(self):
         report = check_conjecture2(8)
         cells = {(c.n, c.N): c for c in report.cells}
-        assert cells[(5, 3)].value == 66 and cells[(5, 3)].six_ok
-        assert cells[(8, 5)].value == 10212 and cells[(8, 5)].six_ok
-        assert cells[(7, 2)].value == 306 and cells[(7, 2)].even
+        assert cells[(5, 3)].a == 66 and cells[(5, 3)].six_ok
+        assert cells[(8, 5)].a == 10212 and cells[(8, 5)].six_ok
+        assert cells[(7, 2)].a == 306 and cells[(7, 2)].even
         assert not cells[(7, 2)].six_claimed
 
     def test_divisibility_extends_to_twelve(self):

@@ -352,6 +352,26 @@ class TestSolveRecurrence:
     def test_unrolled_always_matches_closed(self, n, b):
         assert solve_recurrence(n, b) == _alternate(n, b)
 
+    def test_alternating_sum_stops_at_n(self, monkeypatch):
+        # C(n, i) = 0 for i > n: a row far past n costs n + 1 binomials, not N_max - 1.
+        calls = []
+
+        def counting_comb(*args):
+            calls.append(args)
+            return math.comb(*args)
+
+        monkeypatch.setattr(enumeration, "comb", counting_comb)
+        row = count_row(5, 3000)
+        assert len(calls) <= 6
+        assert row == count_row(5, 4) + (0,) * 2996
+
+    @pytest.mark.parametrize("kind", ["a", "g", "h"])
+    def test_closed_rows_past_n_match_recurrence(self, kind):
+        for n in range(2, 13):
+            for N_max in range(2, 3 * n + 1):
+                closed = count_row(n, N_max, kind)
+                assert closed == count_row(n, N_max, kind, method="recurrence"), (n, N_max)
+
 
 class TestBruteForce:
     def test_small_rows(self):
