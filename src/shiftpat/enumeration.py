@@ -10,6 +10,7 @@ n*N^(n-1); that asymptotic is informational only.)
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from itertools import permutations as _all_permutations
 from math import comb
@@ -277,27 +278,100 @@ def _bases(prefix: bytes, left: int, missing: frozenset, k: int):
         yield from _bases(prefix + bytes((s,)), left - 1, missing - {s}, k)
 
 
-def _oracle_slice(args):
-    """The suffix orders of the tail-0 family words on exactly 0..k-1 whose base starts with first.
+# about three weeks of words at one worker; (13, 13) plans 6.7e11, so no sweep
+# that can finish is refused
+_ORACLE_WORD_BOUND = 10**12
+_HEADS = [bytes((s,)) for s in range(256)]  # one-symbol prefixes, made once
 
-    A tail-0 family word is u p^(n-1) 0^inf: a base b = u p in {0..k-1}^(n-1),
-    cut at every t = |p| in 1..n-1. Only the bases holding every symbol
-    1..k-1 are walked; the rest relabel into a smaller k.
+
+def _oracle_plan(n: int, N: int):
+    """(k, words) for each alphabet 2 <= k <= min(N, n) the oracle sweeps, in increasing k.
+
+    words = (n-1) sum_j (-1)^j C(k-1, j) (k-j)^(n-1): the n - 1 cuts of each
+    base in {0..k-1}^(n-1) that holds every symbol 1..k-1, counted by
+    inclusion-exclusion over the missing ones.
     """
-    n, k, first = args
+    for k in range(2, min(N, n) + 1):
+        yield k, (n - 1) * sum((-1) ** j * comb(k - 1, j) * (k - j) ** (n - 1) for j in range(k))
+
+
+def _periods(back: bytes, left: int, missing: frozenset, spare: int, k: int):
+    """(p, still missing) for each p = (left symbols of 0..k-1) + back lacking at most spare of missing.
+
+    Depth first, built right to left; a suffix is dropped as soon as the
+    symbols still missing outnumber the positions left in p plus spare.
+    """
+    if not left:
+        yield back, missing
+        return
+    left -= 1
+    for s in (missing if len(missing) == left + 1 + spare else range(k)):
+        yield from _periods(_HEADS[s] + back, left, missing - {s}, spare, k)
+
+
+def _prepend(keys: list, starts: list, front: bytes, left: int, missing: frozenset, k: int, found: set):
+    """Add to found the order of each word (left symbols of 0..k-1) + front holding every missing symbol.
+
+    keys are the sorted zero-stripped suffixes of front and starts their
+    starts in the final word; each symbol prepended makes one new suffix,
+    which bisect inserts, at start left - 1. Both lists are restored on return.
+    """
+    choices = missing if len(missing) == left else range(k)
+    if left == 1:  # start 0: one insertion gives the whole order
+        for s in choices:
+            i = bisect(keys, _HEADS[s] + front)
+            starts.insert(i, 0)
+            found.add(tuple(starts))
+            del starts[i]
+        return
+    left -= 1
+    for s in choices:
+        key = _HEADS[s] + front
+        i = bisect(keys, key)
+        keys.insert(i, key)
+        starts.insert(i, left)
+        _prepend(keys, starts, key, left, missing - {s} if s in missing else missing, k, found)
+        del keys[i], starts[i]
+
+
+def _oracle_slice(args):
+    """The suffix orders of the tail-0 family words on exactly 0..k-1 cut at |p| = t.
+
+    A tail-0 family word is u p^(n-1) 0^inf with |u| = m = n-1-t; only the
+    bases u p holding every symbol 1..k-1 are walked, as the rest relabel
+    into a smaller k. Each suffix is keyed, as _order keys it, by its slice
+    of q = u P, P = (p^(n-1)).rstrip(0): 0 is the least symbol, so the
+    shorter of two slices that agree up to its end is the smaller. P ends in
+    a nonzero symbol, so the n keys differ in length and never tie; p = 0^t,
+    whose t+1 periodic starts all read 0^inf, is skipped.
+
+    The walk builds the base right to left: each p from _periods, then u
+    from _prepend. Once p is whole, its t+1 periodic suffixes are sorted
+    once; each symbol of u then inserts one suffix into its parent's sorted
+    keys. A slice's start in the final word is L - len(slice), L = m + |P|.
+    """
+    n, k, t = args
+    m = n - 1 - t
     found = set()
-    for base in _bases(bytes((first,)), n - 2, frozenset(range(1, k)) - {first}, k):
-        for t in range(1, n):
-            found.add(_order(base + base[n - 1 - t :] * (n - 2), b"\0", n))
-    found.discard(None)
+    for p, missing in _periods(b"", t, frozenset(range(1, k)), m, k):
+        P = (p * (n - 1)).rstrip(b"\0")
+        if not P:
+            continue
+        keys = sorted(P[i:] for i in range(t + 1))
+        starts = [m + len(P) - len(key) for key in keys]
+        if m:
+            _prepend(keys, starts, P, m, missing, k, found)
+        else:
+            found.add(tuple(starts))
     return found
 
 
 def _least_alphabets(n: int, N: int, workers: int) -> dict:
     """{order: N(pi)} for every pi with N(pi) <= N, from one sweep of the normalized tail-0 words.
 
-    A key is the suffix order _order returns, the inverse of pi; no key is
-    inverted here.
+    A key is the suffix order _order would return, the inverse of pi; no key
+    is inverted here. The plan is checked before any job runs:
+    BoundExceededError past _ORACLE_WORD_BOUND words.
 
     Patterns depend only on how symbols compare, and a family word's tail is
     its least or largest symbol, so a word with k distinct symbols relabels,
@@ -310,11 +384,17 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
     comparison, keeps ties and the symbols 0..k-1, and maps the words with
     tail k-1 onto the words with tail 0, so those realize exactly the
     complements of what these realize, whose suffix orders are these orders
-    reversed. The jobs (k, first) therefore sweep tail 0 only, one per first
-    symbol, in increasing k, and an order and its reversal take the k of the
-    first job that finds either.
+    reversed. The jobs (k, t) therefore sweep tail 0 only, one per cut
+    t = |p| in 1..n-1, in increasing k, and an order and its reversal take
+    the k of the first job that finds either.
     """
-    jobs = [(n, k, first) for k in range(2, min(N, n) + 1) for first in range(k)]
+    jobs, words = [], 0
+    for k, count in _oracle_plan(n, N):
+        words += count
+        if words > _ORACLE_WORD_BOUND:
+            raise BoundExceededError(
+                f"n={n} N={N} exceeds the oracle bound of {_ORACLE_WORD_BOUND} words")
+        jobs += [(n, k, t) for t in range(1, n)]
     least = {}
     for (_, k, _), part in zip(jobs, _fan_out(_oracle_slice, jobs, workers)):
         for o in part:

@@ -229,6 +229,19 @@ class TestPatternSets:
         # no word on one symbol realizes a pattern, so nothing is swept
         assert run_cli(capsys, "allowed", "1200", "1") == (EXIT_OK, "", "")
 
+    @pytest.mark.parametrize("argv", [("allowed", "1200", "2"),
+                                      ("count", "1200", "2", "--method", "oracle")])
+    def test_oracle_plan_past_the_bound_exits_4(self, capsys, monkeypatch, argv):
+        # refused by the plan's word count before any job: the kernel is never reached
+        def never(*args):
+            raise AssertionError("an oracle job ran")
+
+        monkeypatch.setattr(enumeration, "_oracle_slice", never)
+        monkeypatch.setattr(enumeration, "_fan_out", never)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_BOUND, "")
+        assert err == "error: n=1200 N=2 exceeds the oracle bound of 1000000000000 words\n"
+
     def test_golden_allowed_six_three(self, capsys):
         code, out, _ = run_cli(capsys, "allowed", "6", "3")
         assert code == EXIT_OK

@@ -1,12 +1,15 @@
 """Counting formulas, brute-force and word-family oracles, pattern sets."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
 from itertools import permutations, product
 from pathlib import Path
+from weakref import ref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +47,8 @@ from shiftpat.enumeration import (
     _bases,
     _least_alphabets,
     _nmin_slice,
+    _oracle_plan,
+    _oracle_slice,
     _primitive_sum,
 )
 from shiftpat.permutations import _cycles, _ranks_of, inverse
@@ -102,6 +107,36 @@ def family_least(n, N):
                 order = _order(base + base[n - 1 - t :] * (n - 2), (x,), n)
                 if order is not None and k < least.get(pi := _ranks_of(order), n + 1):
                     least[pi] = k
+    return least
+
+
+@cache
+def walked_orders(n, k):
+    """({t: orders}, bases) of the tail-0 words on exactly 0..k-1, by the oracle's former walk.
+
+    The reference for the oracle's prepend walk: _bases yields each base
+    in {0..k-1}^(n-1) holding every symbol 1..k-1, and words._order sorts
+    the suffixes of each word u p^(n-1) 0^inf, one word per cut t = |p|.
+    """
+    orders = {t: set() for t in range(1, n)}
+    bases = 0
+    for base in _bases(b"", n - 1, frozenset(range(1, k)), k):
+        bases += 1
+        for t in orders:
+            orders[t].add(_order(base + base[n - 1 - t :] * (n - 2), b"\0", n))
+    for found in orders.values():
+        found.discard(None)
+    return orders, bases
+
+
+def walked_least(n, N):
+    """The oracle's {order: k} map from walked_orders: the first k finding an order or its reversal."""
+    least = {}
+    for k in range(2, min(N, n) + 1):
+        for found in walked_orders(n, k)[0].values():
+            for o in found:
+                if o not in least:
+                    least[o] = least[o[::-1]] = k
     return least
 
 
@@ -277,7 +312,7 @@ class TestClosedForms:
 
     def test_oracle_row_stops_at_n(self, monkeypatch):
         # one sweep over the alphabets k = 2 .. min(N_max, n), one tail-0 job
-        # per first symbol of the base: k jobs for each k
+        # per cut t = |p| in 1..n-1: n - 1 jobs for each k
         alphabets = []
         sweep = enumeration._oracle_slice
 
@@ -287,7 +322,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(enumeration, "_oracle_slice", counted)
         assert count_row(5, 12, method="oracle") == count_row(5, 12)
-        assert alphabets == [2] * 2 + [3] * 3 + [4] * 4 + [5] * 5
+        assert alphabets == [2] * 4 + [3] * 4 + [4] * 4 + [5] * 4
 
     @pytest.mark.parametrize("kind", ["g", "h"])
     @pytest.mark.parametrize("method", ["brute", "oracle"])
@@ -456,8 +491,8 @@ class TestFanOut:
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
         assert count_row(6, 4, method="oracle", workers=2) == count_row(6, 4, method="oracle")
         assert enumerate_by_nmin(6, workers=2).counts == enumerate_by_nmin(6).counts
-        # one pool each: the oracle's jobs (k, first) for k = 2..4, then sigma(1) = 2..6
-        assert jobs == [2 + 3 + 4, 5]
+        # one pool each: the oracle's jobs (k, t) for k = 2..4 and t = 1..5, then sigma(1) = 2..6
+        assert jobs == [3 * 5, 5]
 
     def test_pool_class_is_imported_on_first_read(self, monkeypatch):
         from concurrent.futures import ProcessPoolExecutor
@@ -541,51 +576,63 @@ class TestOracle:
                     assert len(set(walked)) == len(walked), (n, k, first)
                     assert walked == kept, (n, k, first)
 
-    def test_each_job_sweeps_exactly_its_symbols(self, monkeypatch):
-        # a word with fewer than k symbols repeats a smaller job; skipping it
-        # changes no result, so only the words each job passes can show it
-        words_by_job = []
-        sweep, kernel = enumeration._oracle_slice, enumeration._order
-
-        def job(args):
-            words_by_job.append((args[1], set()))
-            return sweep(args)
-
-        def recorded(pre, per, n):
-            words_by_job[-1][1].add(pre + per)
-            return kernel(pre, per, n)
-
-        monkeypatch.setattr(enumeration, "_oracle_slice", job)
-        monkeypatch.setattr(enumeration, "_order", recorded)
-        _least_alphabets(6, 4, 1)
-        assert [k for k, _ in words_by_job] == [2, 2, 3, 3, 3, 4, 4, 4, 4]
-        for k, seen in words_by_job:
-            assert seen and all(set(w) == set(range(k)) for w in seen), k
+    def test_each_job_sweeps_exactly_its_symbols(self):
+        # job (k, t) finds the orders of exactly the words on 0..k-1 cut at t;
+        # a word with fewer symbols repeats a smaller job and changes no
+        # merged result, so only the orders per job can show it
+        for n in range(2, 9):
+            for k in range(2, min(n, 5) + 1):
+                orders, _ = walked_orders(n, k)
+                for t in range(1, n):
+                    assert _oracle_slice((n, k, t)) == orders[t], (n, k, t)
 
     @pytest.mark.parametrize("n, N", [(5, 3), (6, 4), (7, 3), (7, 5), (8, 4)])
-    def test_sweeps_the_tail_zero_words_on_exactly_k_symbols(self, monkeypatch, n, N):
+    def test_sweeps_the_tail_zero_words_on_exactly_k_symbols(self, n, N):
         # alphabet k reads n-1 cuts of each base in {0..k-1}^(n-1) that holds
-        # every symbol 1..k-1, counted by inclusion-exclusion over the
-        # missing ones
-        calls = Counter()
-        sweep, kernel = enumeration._oracle_slice, enumeration._order
-        alphabet = []
+        # every symbol 1..k-1, as the plan counts them by inclusion-exclusion
+        # over the missing ones
+        words = {k: (n - 1) * walked_orders(n, k)[1] for k in range(2, N + 1)}
+        assert dict(_oracle_plan(n, N)) == words
 
-        def job(args):
-            alphabet.append(args[1])
-            return sweep(args)
+    def test_plan_counts_the_family_words(self):
+        assert sum(words for _, words in _oracle_plan(8, 4)) == 85_855
+        assert sum(words for _, words in _oracle_plan(9, 9)) == 8_733_352
+        assert sum(words for _, words in _oracle_plan(13, 13)) < enumeration._ORACLE_WORD_BOUND
+        assert list(_oracle_plan(1200, 1)) == []
 
-        def counted(*args):
-            calls[alphabet[-1]] += 1
-            return kernel(*args)
+    def test_map_equals_the_walk_it_replaced(self):
+        cells = [(n, N) for n in range(2, 9) for N in range(1, n + 2)] + [(9, 3), (9, 4)]
+        for n, N in cells:
+            assert _least_alphabets(n, N, 1) == walked_least(n, N), (n, N)
 
-        monkeypatch.setattr(enumeration, "_oracle_slice", job)
-        monkeypatch.setattr(enumeration, "_order", counted)
-        _least_alphabets(n, N, 1)
-        assert calls == {
-            k: (n - 1) * sum((-1) ** j * math.comb(k - 1, j) * (k - j) ** (n - 1) for j in range(k))
-            for k in range(2, N + 1)
-        }
+    def test_a_job_leaves_no_cycle_holding_its_orders(self):
+        # with the cycle collector off, a job's order set is freed once the
+        # caller drops it; a self-referencing walk would keep every job's
+        # set alive until a full collection, and memory would grow per sweep
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            orders = _oracle_slice((7, 3, 2))
+            assert orders
+            held = ref(orders)
+            del orders
+            assert held() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_two_workers_give_the_one_worker_set(self):
+        for n, N in ((6, 3), (7, 4), (8, 8)):
+            assert oracle_allowed(n, N, workers=2) == oracle_allowed(n, N, workers=1), (n, N)
+
+    @pytest.mark.parametrize("n, N", [(1200, 2), (1200, 1200), (14, 14)])
+    def test_plan_past_the_bound_is_refused_before_any_job(self, monkeypatch, n, N):
+        # refused through the estimate alone: the kernels raise if reached
+        poison(monkeypatch, "_oracle_slice", "_fan_out", "_bases", "_order")
+        with pytest.raises(BoundExceededError, match=f"^n={n} N={N} exceeds the oracle bound"):
+            _least_alphabets(n, N, 1)
+        with pytest.raises(BoundExceededError, match=f"^n={n} N={N} exceeds the oracle bound"):
+            omega_census(n, N)
 
     def test_eventually_constant_words_add_nothing(self):
         # formula-free check: short one-tailed binary words stay inside
@@ -771,7 +818,7 @@ class TestIndependence:
     # the closed forms: psi, mobius, their sums and the binomial inversion, unrolled or not
     CLOSED = ("_alternate", "_primitive_sum", "mobius", "psi", "solve_recurrence")
     # the word-family oracle
-    ORACLE = ("_oracle_slice", "_bases", "_least_alphabets", "_order")
+    ORACLE = ("_oracle_slice", "_oracle_plan", "_periods", "_prepend", "_bases", "_least_alphabets", "_order")
 
     @pytest.mark.parametrize("n, N", [(6, 4), (7, 3)])
     def test_oracle_reads_no_formula(self, monkeypatch, n, N):
