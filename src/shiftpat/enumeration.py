@@ -17,7 +17,7 @@ from math import comb
 from operator import gt
 from typing import NamedTuple
 
-from .permutations import _cycles, _ranks_of, _size, marked_inverse, marked_rc, reduce, theta_inv
+from .permutations import _cycle_block, _ranks_of, _size, marked_inverse, marked_rc, reduce, theta_inv
 from .words import _order, _squarefree_below, is_primitive, psi
 
 __all__ = [
@@ -224,7 +224,7 @@ class PatternRow(NamedTuple):
 
 
 def _nmin_slice(args):
-    """Counter of N(pi) over the pi whose marked cycle theta(pi) has sigma(1) = second.
+    """Counter of N(pi) over the pi whose marked cycle theta(pi) has sigma(1) = first, sigma(n) = last.
 
     theta maps S_n one-to-one onto the marked cycles, so every pi is one
     n-cycle sigma with one slot p erased, and N(pi) = 1 + des + eps there
@@ -240,9 +240,9 @@ def _nmin_slice(args):
     (then c_n = [s_{n-1} > s_n] = 1), so each moves one mark from top - 1
     to top. A cycle costs two C-level passes, for D and G.
     """
-    n, second = args
+    n, first, last = args
     tally = [0] * (n + 1)  # tally[N]; D <= n - 1, so top <= n
-    for s in _cycles(n, second):
+    for s in _cycle_block(n, first, last):
         D = sum(map(gt, s, s[1:]))
         ones = 2 * D - sum(map(gt, s, s[2:])) - (s[2] == 1) - (s[n - 1] == n)  # marks at top - 1
         tally[D + 1] += n - ones
@@ -250,16 +250,43 @@ def _nmin_slice(args):
     return Counter({N: count for N, count in enumerate(tally) if count})
 
 
+def _rc_blocks(n: int) -> list:
+    """(first, last, weight) for the blocks sigma(1) = first, sigma(n) = last that the brute row sweeps.
+
+    The reverse-complement rho_i = n+1 - sigma_{n+1-i} of an n-cycle is an
+    n-cycle (sigma conjugated by i -> n+1-i), and it maps the block
+    (a, b) onto the block (n+1-b, n+1-a). On the padded lists
+    r[i] = n+1 - s[n+1-i] (i = 0..n+1, pads included) a descent at i is one
+    of s at n-i and r_i > r_{i+2} is s_j > s_{j+2} at j = n-1-i, so D and G
+    are the same; r_2 = 1 iff s_{n-1} = n and r_{n-1} = n iff s_2 = 1, so
+    the two end terms swap and sigma and rho give the same two-value tally.
+    So only the blocks with (a, b) <= (n+1-b, n+1-a) are swept: weight 2
+    when strictly smaller, 1 when the block is its own partner (a + b = n + 1).
+    A cycle has a != b, and for n >= 3 the block (n, 1), 1 -> n -> 1, is
+    empty; for n <= 2 the one n-cycle is its own partner.
+    """
+    if n <= 2:
+        return [(n, 1, 1)]
+    return [(a, b, 1 if a + b == n + 1 else 2) for a in range(2, n + 1) for b in range(1, n)
+            if a != b and (a, b) != (n, 1) and (a, b) <= (n + 1 - b, n + 1 - a)]
+
+
 def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> PatternRow:
     """Classify every permutation of S_n by n_min; counts per alphabet size.
 
-    Sweeps the (n-1)! n-cycles and their n marks with the marked-cycle
-    formula; the A/Delta formula is not read. Fans out over sigma(1) when
-    workers > 1; the merged result is identical for any worker count.
+    Sweeps the n-cycles and their n marks with the marked-cycle formula; the
+    A/Delta formula is not read. One job per block (sigma(1), sigma(n)) on
+    one side of the reverse-complement pairing (_rc_blocks), each counted
+    twice unless it is its own partner, so about half the (n-1)! cycles are
+    walked. Fans out over those blocks when workers > 1; the merged result
+    is identical for any worker count.
     """
     check_bound(_size(n, 1, "n"), bound)
-    jobs = [(n, second) for second in range(min(n, 2), n + 1)]  # sigma(1) = 1 only when n = 1
-    counts = sum(_fan_out(_nmin_slice, jobs, workers), Counter())
+    blocks = _rc_blocks(n)
+    jobs = [(n, first, last) for first, last, _ in blocks]
+    counts = Counter()
+    for (_, _, weight), part in zip(blocks, _fan_out(_nmin_slice, jobs, workers)):
+        counts.update({N: weight * count for N, count in part.items()})
     return PatternRow(n=n, counts=dict(sorted(counts.items())))
 
 
@@ -347,8 +374,9 @@ def _oracle_slice(args):
 
     The walk builds the base right to left: each p from _periods, then u
     from _prepend. Once p is whole, its t+1 periodic suffixes are sorted
-    once; each symbol of u then inserts one suffix into its parent's sorted
-    keys. A slice's start in the final word is L - len(slice), L = m + |P|.
+    once (for m = 0 that sort is the order); each symbol of u then inserts
+    one suffix into its parent's sorted keys. A slice's start in the final
+    word is L - len(slice), L = m + |P|.
     """
     n, k, t = args
     m = n - 1 - t
@@ -357,12 +385,11 @@ def _oracle_slice(args):
         P = (p * (n - 1)).rstrip(b"\0")
         if not P:
             continue
-        keys = sorted(P[i:] for i in range(t + 1))
-        starts = [m + len(P) - len(key) for key in keys]
         if m:
-            _prepend(keys, starts, P, m, missing, k, found)
-        else:
-            found.add(tuple(starts))
+            keys = sorted(P[i:] for i in range(t + 1))
+            _prepend(keys, [m + len(P) - len(key) for key in keys], P, m, missing, k, found)
+        else:  # no u: the sort of p's n starts is the order, with no key or start list
+            found.add(tuple(sorted(range(t + 1), key=lambda i: P[i:])))
     return found
 
 
@@ -420,7 +447,9 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
 
 
 def forbidden(n: int, N: int, workers: int = 1) -> frozenset:
-    """Patterns of length n never realized over N symbols; n is checked against the bound first."""
+    """Patterns of length n never realized over N symbols; n and N are checked before S_n is built."""
+    _size(n, 2, "n")
+    _size(N, 1, "N")
     check_bound(n)
     return frozenset(_all_permutations(range(1, n + 1))) - oracle_allowed(n, N, workers=workers)
 

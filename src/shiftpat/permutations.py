@@ -173,6 +173,33 @@ def _cycles(n: int, second: int):
         yield s
 
 
+def _cycle_block(n: int, first: int, last: int):
+    """The n-cycles with sigma(1) = first and sigma(n) = last, padded as _cycles pads them.
+
+    The block must hold a cycle: first != last, or n = 1, and (first, last)
+    is not (n, 1) when n >= 3. In the walk 1 -> first -> ... -> 1, n stands
+    for the glued pair n -> last, and each list is mended at the end: last
+    takes n's successor and n points at last. When last = 1 the pair closes
+    the walk, so n is left out and comes last; for n = 2 the walk is empty.
+    The (n-3)! cycles of a block (for n >= 3) come in lexicographic order of
+    the free part of the walk. Each list is new, so callers may keep it.
+    """
+    if last == 1:
+        rest, end = [v for v in range(2, n) if v != first], n
+    else:
+        rest, end = [v for v in range(2, n + 1) if v not in (first, last)], 1
+    for walk in _all_permutations(rest):
+        s = [0] * (n + 1) + [n + 1]
+        s[1] = prev = first
+        for v in walk:
+            s[prev] = prev = v
+        s[prev] = end
+        if last != 1:
+            s[last] = s[n]
+        s[n] = last
+        yield s
+
+
 def n_cycles(n: int):
     """All (n-1)! permutations of S_n that are a single n-cycle.
 

@@ -50,8 +50,9 @@ from shiftpat.enumeration import (
     _oracle_plan,
     _oracle_slice,
     _primitive_sum,
+    _rc_blocks,
 )
-from shiftpat.permutations import _cycles, _ranks_of, inverse
+from shiftpat.permutations import _cycle_block, _cycles, _ranks_of, inverse, n_cycles
 from shiftpat.realization import _n_min
 from shiftpat.words import _order
 
@@ -150,13 +151,25 @@ def marks_slice(n, second):
     """
     counts = Counter()
     for s in _cycles(n, second):
-        d = [s[i] > s[i + 1] for i in range(n + 1)]
-        top = 1 + sum(d)
-        N = [top - d[p - 1] - d[p] + (s[p - 1] > s[p + 1]) for p in range(1, n + 1)]
-        N[0] += s[2] == 1
-        N[-1] += s[n - 1] == n
-        counts.update(N)
+        counts.update(cycle_marks(n, s))
     return counts
+
+
+def cycle_marks(n, s):
+    """N(pi) for each of the n marks of the padded cycle s, one mark at a time."""
+    d = [s[i] > s[i + 1] for i in range(n + 1)]
+    top = 1 + sum(d)
+    N = [top - d[p - 1] - d[p] + (s[p - 1] > s[p + 1]) for p in range(1, n + 1)]
+    N[0] += s[2] == 1
+    N[-1] += s[n - 1] == n
+    return N
+
+
+def all_blocks(n):
+    """Every (sigma(1), sigma(n)) that some n-cycle has, on both sides of the rc pairing."""
+    if n <= 2:
+        return [(n, 1)]
+    return [(a, b) for a in range(2, n + 1) for b in range(1, n) if a != b and (a, b) != (n, 1)]
 
 
 def census_reference(n, N):
@@ -436,8 +449,46 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_each_slice_matches_the_mark_loop(self, n):
+        # the blocks with sigma(1) = second, over every sigma(n), make up that sigma(1) slice
         for second in range(min(n, 2), n + 1):
-            assert _nmin_slice((n, second)) == marks_slice(n, second), (n, second)
+            blocks = [_nmin_slice((n, a, b)) for a, b in all_blocks(n) if a == second]
+            assert sum(blocks, Counter()) == marks_slice(n, second), (n, second)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reverse_complement_keeps_the_tally(self, n):
+        # rho_i = n+1 - sigma_{n+1-i} is an n-cycle with the same N over its n marks
+        cycles = set(n_cycles(n))
+        for sigma in cycles:
+            rho = tuple(n + 1 - v for v in reversed(sigma))
+            assert rho in cycles, sigma
+            marks = [Counter(cycle_marks(n, (0,) + c + (n + 1,))) for c in (sigma, rho)]
+            assert marks[0] == marks[1], sigma
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_blocks_partition_the_cycles(self, n):
+        seen = Counter()
+        for a, b in all_blocks(n):
+            block = [tuple(s[1:-1]) for s in _cycle_block(n, a, b)]
+            assert len(block) == math.factorial(n - 3), (a, b)
+            assert all(sigma[0] == a and sigma[-1] == b for sigma in block), (a, b)
+            seen.update(block)
+        assert seen == Counter(n_cycles(n))
+        # one side of the pairing, each block weighted by its partner, covers them all
+        halves = _rc_blocks(n)
+        partners = {(a, b) for a, b, _ in halves} | {(n + 1 - b, n + 1 - a) for a, b, _ in halves}
+        assert partners == set(all_blocks(n))
+        assert sum(w for _, _, w in halves) * math.factorial(n - 3) == math.factorial(n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_halved_row_matches_the_full_sweep(self, n):
+        full = sum((marks_slice(n, second) for second in range(min(n, 2), n + 1)), Counter())
+        assert enumerate_by_nmin(n).counts == dict(sorted(full.items()))
+
+    def test_halved_row_matches_the_closed_form(self):
+        # S_10 at bound=10 is test_bound's
+        counts = enumerate_by_nmin(9).counts
+        assert tuple(counts.values()) == count_row(9, 8)
+        assert list(counts) == list(range(2, 9))
 
     def test_marked_sweep_matches_a_delta_formula(self):
         # the brute row reads only the marked-cycle formula; this is the A/Delta side
@@ -447,6 +498,13 @@ class TestBruteForce:
     def test_parallel_merge_identical(self):
         solo = enumerate_by_nmin(7, workers=1)
         duo = enumerate_by_nmin(7, workers=2)
+        assert solo.counts == duo.counts
+        assert list(solo.counts) == list(duo.counts)
+
+    def test_parallel_blocks_merge_identical(self):
+        # 24 block jobs, 18 pairs and 6 blocks that are their own partner, on two workers
+        solo = enumerate_by_nmin(8, workers=1)
+        duo = enumerate_by_nmin(8, workers=2)
         assert solo.counts == duo.counts
         assert list(solo.counts) == list(duo.counts)
 
@@ -491,8 +549,9 @@ class TestFanOut:
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
         assert count_row(6, 4, method="oracle", workers=2) == count_row(6, 4, method="oracle")
         assert enumerate_by_nmin(6, workers=2).counts == enumerate_by_nmin(6).counts
-        # one pool each: the oracle's jobs (k, t) for k = 2..4 and t = 1..5, then sigma(1) = 2..6
-        assert jobs == [3 * 5, 5]
+        # one pool each: the oracle's jobs (k, t) for k = 2..4 and t = 1..5, then one job per
+        # block (sigma(1), sigma(n)) on one side of the reverse-complement pairing: 8 pairs, 4 self
+        assert jobs == [3 * 5, 12]
 
     def test_pool_class_is_imported_on_first_read(self, monkeypatch):
         from concurrent.futures import ProcessPoolExecutor

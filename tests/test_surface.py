@@ -23,10 +23,12 @@ from shiftpat import (
     eulerian_row,
     explain_nmin,
     extremal_sextet,
+    forbidden,
     marked_des,
     marked_eps,
     marked_inverse,
     marked_rc,
+    minimal_forbidden,
     mobius,
     n_cycles,
     n_min,
@@ -128,6 +130,10 @@ SIZES = {
     "enumerate_by_nmin n": (enumerate_by_nmin, "n", 1),
     "enumerate_by_nmin bound": (refused_at_one(enumerate_by_nmin), "bound", 0),
     "enumerate_by_nmin workers": (lambda v: enumerate_by_nmin(4, workers=v), "workers", 0),
+    "forbidden n": (lambda v: forbidden(v, 3), "n", 2),
+    "forbidden N": (lambda v: forbidden(4, v), "N", 1),
+    "minimal_forbidden n": (lambda v: minimal_forbidden(v, 3), "n", 2),
+    "minimal_forbidden N": (lambda v: minimal_forbidden(4, v), "N", 1),
     "oracle_allowed n": (lambda v: oracle_allowed(v, 2), "n", 2),
     "oracle_allowed N": (lambda v: oracle_allowed(4, v), "N", 1),
     "oracle_allowed workers": (lambda v: oracle_allowed(5, 3, workers=v), "workers", 0),
