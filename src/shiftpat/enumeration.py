@@ -14,10 +14,10 @@ from bisect import bisect
 from collections import Counter
 from itertools import permutations as _all_permutations
 from math import comb
-from operator import gt
+from operator import gt, itemgetter
 from typing import NamedTuple
 
-from .permutations import _cycle_block, _ranks_of, _size, marked_inverse, marked_rc, reduce, theta_inv
+from .permutations import _cycle_block, _ranks_of, _size, marked_inverse, marked_rc, theta_inv
 from .words import _order, _squarefree_below, is_primitive, psi
 
 __all__ = [
@@ -53,6 +53,17 @@ def check_bound(n: int, bound: int = DEFAULT_BOUND) -> None:
     """Raise BoundExceededError if a sweep over S_n is past its bound, an int >= 0."""
     if n > _size(bound, 0, "bound"):
         raise BoundExceededError(f"n={n} exceeds the sweep bound {bound}")
+
+
+# the most entries (word symbols, tuple entries) one result is built with:
+# 10^9 of them are gigabytes, so nothing that fits in memory is refused
+_ENTRY_BOUND = 10**9
+
+
+def _check_entries(entries: int, what: str) -> None:
+    """Raise BoundExceededError, before anything is built, if what needs more than _ENTRY_BOUND entries."""
+    if entries > _ENTRY_BOUND:
+        raise BoundExceededError(f"{what} needs {entries} entries, past the bound of {_ENTRY_BOUND}")
 
 
 def count_binary(n: int) -> int:
@@ -322,18 +333,31 @@ def _oracle_plan(n: int, N: int):
         yield k, (n - 1) * sum((-1) ** j * comb(k - 1, j) * (k - j) ** (n - 1) for j in range(k))
 
 
-def _periods(back: bytes, left: int, missing: frozenset, spare: int, k: int):
-    """(p, still missing) for each p = (left symbols of 0..k-1) + back lacking at most spare of missing.
+def _necklaces(prefix: bytes, root: int, t: int, missing: frozenset, spare: int, k: int):
+    """(necklace, root, still missing) per necklace of length t on 0..k-1 lacking at most spare of missing.
 
-    Depth first, built right to left; a suffix is dropped as soon as the
-    symbols still missing outnumber the positions left in p plus spare.
+    A necklace is the least of its rotations. The walk is the
+    Fredricksen-Kessler-Maiorana one (Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992), depth first, left to right and in
+    increasing order: prefix starts with a sentinel 0, and root is the
+    length of its longest Lyndon prefix, so the symbol root places back
+    keeps root, any larger symbol makes the whole prefix the root, and a
+    whole prefix is a necklace iff root divides t, with root the length of
+    its primitive root. A prefix is dropped as soon as the symbols still
+    missing outnumber the positions left plus spare; the symbol multiset,
+    so what is missing, is the same for every rotation.
     """
-    if not left:
-        yield back, missing
+    j = len(prefix)  # the position filled next; the sentinel is position 0
+    if j > t:
+        if not t % root:
+            yield prefix[1:], root, missing
         return
-    left -= 1
-    for s in (missing if len(missing) == left + 1 + spare else range(k)):
-        yield from _periods(_HEADS[s] + back, left, missing - {s}, spare, k)
+    low = prefix[j - root]
+    tight = len(missing) == t - j + 1 + spare  # every position left must take a missing symbol
+    for s in range(low, k):
+        if tight and s not in missing:
+            continue
+        yield from _necklaces(prefix + _HEADS[s], root if s == low else j, t, missing - {s}, spare, k)
 
 
 def _prepend(keys: list, starts: list, front: bytes, left: int, missing: frozenset, k: int, found: set):
@@ -361,6 +385,11 @@ def _prepend(keys: list, starts: list, front: bytes, left: int, missing: frozens
         del keys[i], starts[i]
 
 
+def _sorted_starts(P: bytes, count: int) -> tuple:
+    """The starts 0..count-1 of P in increasing order of their slices P[i:]."""
+    return tuple(sorted(range(count), key=lambda i: P[i:]))
+
+
 def _oracle_slice(args):
     """The suffix orders of the tail-0 family words on exactly 0..k-1 cut at |p| = t.
 
@@ -372,24 +401,51 @@ def _oracle_slice(args):
     a nonzero symbol, so the n keys differ in length and never tie; p = 0^t,
     whose t+1 periodic starts all read 0^inf, is skipped.
 
-    The walk builds the base right to left: each p from _periods, then u
-    from _prepend. Once p is whole, its t+1 periodic suffixes are sorted
-    once (for m = 0 that sort is the order); each symbol of u then inserts
-    one suffix into its parent's sorted keys. A slice's start in the final
-    word is L - len(slice), L = m + |P|.
+    The walk builds the base right to left: each p as a rotation of a
+    necklace from _necklaces, then u from _prepend. Once p is whole, its t+1
+    periodic starts are put in order (for m = 0 that is the order); each
+    symbol of u then inserts one suffix into its parent's sorted keys. A
+    slice's start in the final word is m + its start in P.
+
+    A power (root < t) sorts each of its root distinct rotations, and so
+    does every necklace when n < 4 or t = 1. Otherwise a primitive
+    necklace is sorted once and its t rotations relabel that sort. Let
+    P = P_0 and P_r be the P of the necklace and of its rotation by r, and
+    R the starts 0..t-1 of P in increasing order. Then
+    len(P_r) >= (n-2)t + 1, as p^(n-1) loses at most t-1 trailing zeros.
+    The t rotations of a primitive p are distinct, so two of them differ
+    within their first t symbols, and every slice P_r[i:] with i <= t is
+    longer than that, at least (n-3)t + 1 >= t + 1 symbols: starts
+    i, j < t of P_r compare as the rotations of p by r+i and r+j do, as
+    starts r+i and r+j (mod t) of P. So the starts 0..t-1 of P_r, in
+    order, are R relabeled by i -> (i - r) mod t. Last,
+    P_r[t:] = p^(n-3) p.rstrip(0) is a proper prefix of P_r[0:], so
+    smaller, and long enough to differ from every other start exactly
+    where start 0 does: start t sits just below start 0.
     """
     n, k, t = args
     m = n - 1 - t
+    width = (n - 1) * t
+    labels = tuple(range(t)) * 2  # labels[t - r + i] = (i - r) mod t
     found = set()
-    for p, missing in _periods(b"", t, frozenset(range(1, k)), m, k):
-        P = (p * (n - 1)).rstrip(b"\0")
-        if not P:
+    for neck, root, missing in _necklaces(b"\0", 1, t, frozenset(range(1, k)), m, k):
+        if not neck[-1]:  # a necklace holding a nonzero symbol ends in one, so this is 0^t
             continue
-        if m:
-            keys = sorted(P[i:] for i in range(t + 1))
-            _prepend(keys, [m + len(P) - len(key) for key in keys], P, m, missing, k, found)
-        else:  # no u: the sort of p's n starts is the order, with no key or start list
-            found.add(tuple(sorted(range(t + 1), key=lambda i: P[i:])))
+        ring = neck * n  # rotation r repeated n-1 times is ring[r : r + width]
+        if n >= 4 and 1 < root == t:  # primitive: one sort, relabeled for each rotation
+            R = _sorted_starts(ring[:width].rstrip(b"\0"), t)
+            relabel, orders = itemgetter(*R), []
+            for r in range(t):
+                order, j = relabel(labels[t - r : 2 * t - r]), R.index(r)
+                orders.append(order[:j] + (t,) + order[j:])
+        else:  # a power, t = 1 or n < 4: each distinct rotation sorts its own starts
+            orders = [_sorted_starts(ring[r : r + width].rstrip(b"\0"), t + 1) for r in range(root)]
+        for r, order in enumerate(orders):
+            if m:
+                P = ring[r : r + width].rstrip(b"\0")
+                _prepend([P[i:] for i in order], [m + i for i in order], P, m, missing, k, found)
+            else:
+                found.add(order)
     return found
 
 
@@ -460,22 +516,28 @@ def minimal_forbidden(n: int, N: int, workers: int = 1) -> frozenset:
     Only the two windows of length n-1 are read: every shorter window lies
     in one of them, and the realized sets are closed under consecutive
     containment (the window at s .. s+m-1 of a pattern realized by w is
-    realized by the shifted word sigma^s(w)).
+    realized by the shifted word sigma^s(w)). Dropping the value v from a
+    permutation leaves the pattern x -> x - [x > v] of the rest, so neither
+    window is sorted.
     """
     out = forbidden(n, N, workers=workers)
     if n == 2:  # no proper window of length >= 2
         return out
     allowed = oracle_allowed(n - 1, N, workers=workers)
-    return frozenset(pi for pi in out if reduce(pi[1:]) in allowed and reduce(pi[:-1]) in allowed)
+    return frozenset(pi for pi in out
+                     if tuple([x - (x > pi[0]) for x in pi[1:]]) in allowed
+                     and tuple([x - (x > pi[-1]) for x in pi[:-1]]) in allowed)
 
 
 def extremal_sextet(n: int) -> frozenset:
     """The six permutations of length n needing the largest alphabet, n-1.
 
     Built from two explicit marked cycles and their rotations and
-    transposes, then pulled back through the cycle marking.
+    transposes, then pulled back through the cycle marking. Their 6n
+    entries go through _check_entries first.
     """
-    m = (_size(n, 3, "n") + 1) // 2
+    _check_entries(6 * _size(n, 3, "n"), f"n={n}")
+    m = (n + 1) // 2
     sigma = tuple(range(n, m, -1)) + (0,) + tuple(range(m, 1, -1))
     tau = (0, 1) + tuple(range(n, m + 1, -1)) + tuple(range(m, 1, -1))
     sigma_inv = marked_inverse(sigma)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .enumeration import _check_entries
 from .permutations import (_marked_des, _marked_eps, _positions, _size, _theta,
                            check_permutation, theta)
 from .words import EventuallyPeriodicWord, pat
@@ -201,7 +202,8 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
     repetition count m, an int >= 1, must keep (m-1)(n-k) >= n-2 and
     defaults to the least m that does, 1 + ceil((n-2)/(n-k)): about 2n
     symbols in the word where m = n-1 would give about n^2 (the two
-    agree when n <= 3 or k = n-1).
+    agree when n <= 3 or k = n-1). A given m makes k - 1 + (n-k) m
+    symbols before the tail, which go through _check_entries first.
 
     >>> witness((4, 3, 6, 1, 5, 2)).word.to_string()
     '103020302(0)'
@@ -228,6 +230,8 @@ def witness(pi, variant=None, m=None) -> WitnessSpec:
         reps = 1 - (2 - n) // (n - k) if m is None else m  # 1 + ceil((n-2)/(n-k))
         if (reps - 1) * (n - k) < n - 2:
             raise ValueError(f"m={reps} is below the repetition bound for k={k}")
+        if m is not None:  # the prefix built below; the default m is about 2n symbols
+            _check_entries(k - 1 + (n - k) * m, f"m={m}")
     # pi, the variant and m are valid from here on: build the word
     if k is not None:
         prefix = prefix[: k - 1] + prefix[k - 1 :] * reps

@@ -613,6 +613,13 @@ class TestBoundaryChecks:
         ("run_quiet('sextet', '2')", (EXIT_USAGE, "", "error: need n >= 3\n")),
         ("run_quiet('pat', '1([])', '3')", (EXIT_MALFORMED, "", "error: period must be nonempty\n")),
         ("run_quiet('witness', '436152', '--m', '0')", (EXIT_USAGE, "", "error: need m >= 1\n")),
+        # a word or sextet past 10^9 entries is refused before it is built
+        ("run_quiet('witness', '4312', '--m', '1000000000000000')",
+         (EXIT_BOUND, "", "error: m=1000000000000000 needs 1000000000000002 entries,"
+                          " past the bound of 1000000000\n")),
+        ("run_quiet('sextet', '1000000000000000')",
+         (EXIT_BOUND, "", "error: n=1000000000000000 needs 6000000000000000 entries,"
+                          " past the bound of 1000000000\n")),
         ("run_quiet('conjecture1', '4', '--bound', '-1')",
          (EXIT_USAGE, "", "error: need bound >= 0\n")),
         ("run_quiet('conjecture1', '4', '--bound', '0')",

@@ -638,9 +638,11 @@ class TestOracle:
     def test_each_job_sweeps_exactly_its_symbols(self):
         # job (k, t) finds the orders of exactly the words on 0..k-1 cut at t;
         # a word with fewer symbols repeats a smaller job and changes no
-        # merged result, so only the orders per job can show it
+        # merged result, so only the orders per job can show it. Every k <= n
+        # up to n = 7 reaches the jobs the necklace walk prunes most, t = 1,
+        # n < 4 and powers such as (01)^2 at t = 4 and (012)^2 at t = 6
         for n in range(2, 9):
-            for k in range(2, min(n, 5) + 1):
+            for k in range(2, (n if n <= 7 else 5) + 1):
                 orders, _ = walked_orders(n, k)
                 for t in range(1, n):
                     assert _oracle_slice((n, k, t)) == orders[t], (n, k, t)
@@ -791,6 +793,19 @@ class TestSextet:
         for n in range(3, 10):
             assert len(extremal_sextet(n)) == 6
 
+    def test_past_the_entry_bound_is_refused_before_building(self):
+        # 6n entries against 10^9, through the estimate alone; the first tuple
+        # of this n would ask for petabytes and fail at once, not fill memory
+        n = 10**15
+        with pytest.raises(BoundExceededError, match=f"^n={n} needs {6 * n} entries, past the bound of 10+$"):
+            extremal_sextet(n)
+
+    def test_entry_bound_refuses_only_past_it(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_ENTRY_BOUND", 30)
+        assert len(extremal_sextet(5)) == 6  # 30 entries
+        with pytest.raises(BoundExceededError, match="^n=6 needs 36 entries, past the bound of 30$"):
+            extremal_sextet(6)
+
 
 class TestOmegaCensus:
     def test_identities_small(self):
@@ -877,7 +892,8 @@ class TestIndependence:
     # the closed forms: psi, mobius, their sums and the binomial inversion, unrolled or not
     CLOSED = ("_alternate", "_primitive_sum", "mobius", "psi", "solve_recurrence")
     # the word-family oracle
-    ORACLE = ("_oracle_slice", "_oracle_plan", "_periods", "_prepend", "_bases", "_least_alphabets", "_order")
+    ORACLE = ("_oracle_slice", "_oracle_plan", "_necklaces", "_sorted_starts", "_prepend", "_bases",
+              "_least_alphabets", "_order")
 
     @pytest.mark.parametrize("n, N", [(6, 4), (7, 3)])
     def test_oracle_reads_no_formula(self, monkeypatch, n, N):

@@ -4,8 +4,9 @@ from itertools import permutations, product
 
 import pytest
 
-from shiftpat import permutations as permutations_module, realization
+from shiftpat import enumeration, permutations as permutations_module, realization
 from shiftpat import (
+    BoundExceededError,
     EventuallyPeriodicWord,
     a_set,
     base_assignment,
@@ -370,6 +371,32 @@ class TestWitness:
         with pytest.raises(ValueError, match=message):
             witness(pi, variant, m)
         assert len(walks) == 1
+
+    def test_m_past_the_entry_bound_is_refused_before_building(self, monkeypatch):
+        # (4, 3, 1, 2) takes variant B with k = 3: k - 1 + (n - k) m = m + 2
+        # symbols, checked through the estimate alone; the repeat of this m
+        # would ask for petabytes and fail at once, not fill memory
+        def unreachable(*args):
+            raise AssertionError("built a word past the bound")
+
+        monkeypatch.setattr(EventuallyPeriodicWord, "_canonical", unreachable)
+        m = 10**15
+        with pytest.raises(BoundExceededError, match=f"^m={m} needs {m + 2} entries, past the bound of 10+$"):
+            witness((4, 3, 1, 2), m=m)
+
+    def test_entry_bound_refuses_only_past_it(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_ENTRY_BOUND", 20)
+        assert witness((4, 3, 1, 2), m=18).word.to_string() == "11" + "0" * 18 + "(1)"  # 20 symbols
+        with pytest.raises(BoundExceededError, match="^m=19 needs 21 entries, past the bound of 20$"):
+            witness((4, 3, 1, 2), m=19)
+
+    def test_default_m_is_not_checked(self, monkeypatch):
+        # the default m is about 2n symbols, so only a given m is estimated
+        def unreachable(*args):
+            raise AssertionError("estimated the default m")
+
+        monkeypatch.setattr(realization, "_check_entries", unreachable)
+        assert witness((4, 3, 6, 1, 5, 2)).m == 2
 
     @pytest.mark.parametrize("variant", ["Z", "G", "AB", ""])
     def test_unknown_variant(self, variant):
