@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from itertools import permutations as _all_permutations
+from itertools import chain, permutations as _all_permutations
 from math import comb
 from operator import gt, itemgetter
 from typing import NamedTuple
@@ -118,7 +118,9 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
     sum), recurrence (that series unrolled; it is linear, so a = g + h), and
     for kind "a" only brute (the marked-cycle N over S_n) and oracle (each
     pattern's least alphabet, from one sweep of the family words on exactly
-    k symbols, 2 <= k <= min(N_max, n)).
+    k symbols, 2 <= k <= min(N_max, n); the sweep's map keys one suffix
+    order per complement pair, both with the same least alphabet, so each
+    key counts twice).
 
     >>> count_row(6, 5)
     (126, 402, 186, 6)
@@ -132,10 +134,12 @@ def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
         raise ValueError(f"unknown kind: {kind!r}")
     if method in ("brute", "oracle") and kind != "a":
         raise ValueError(f"method {method!r} counts kind 'a' only")
-    if method in ("brute", "oracle"):
-        counts = (enumerate_by_nmin(n, workers=workers).counts if method == "brute"
-                  else Counter(_least_alphabets(n, N_max, workers).values()))
+    if method == "brute":
+        counts = enumerate_by_nmin(n, workers=workers).counts
         return tuple(counts.get(N, 0) for N in range(2, N_max + 1))
+    if method == "oracle":
+        counts = Counter(_least_alphabets(n, N_max, workers).values())
+        return tuple(2 * counts.get(N, 0) for N in range(2, N_max + 1))
     if method not in ("closed", "recurrence"):
         raise ValueError(f"unknown method: {method!r}")
     term = _TERMS[kind]
@@ -360,19 +364,19 @@ def _necklaces(prefix: bytes, root: int, t: int, missing: frozenset, spare: int,
         yield from _necklaces(prefix + _HEADS[s], root if s == low else j, t, missing - {s}, spare, k)
 
 
-def _prepend(keys: list, starts: list, front: bytes, left: int, missing: frozenset, k: int, found: set):
+def _prepend(keys: list, starts: bytearray, front: bytes, left: int, missing: frozenset, k: int, found: set):
     """Add to found the order of each word (left symbols of 0..k-1) + front holding every missing symbol.
 
     keys are the sorted zero-stripped suffixes of front and starts their
     starts in the final word; each symbol prepended makes one new suffix,
-    which bisect inserts, at start left - 1. Both lists are restored on return.
+    which bisect inserts, at start left - 1. Both are restored on return.
     """
     choices = missing if len(missing) == left else range(k)
     if left == 1:  # start 0: one insertion gives the whole order
         for s in choices:
             i = bisect(keys, _HEADS[s] + front)
             starts.insert(i, 0)
-            found.add(tuple(starts))
+            found.add(bytes(starts))
             del starts[i]
         return
     left -= 1
@@ -391,7 +395,7 @@ def _sorted_starts(P: bytes, count: int) -> tuple:
 
 
 def _oracle_slice(args):
-    """The suffix orders of the tail-0 family words on exactly 0..k-1 cut at |p| = t.
+    """The suffix orders, as bytes, of the tail-0 family words on exactly 0..k-1 cut at |p| = t.
 
     A tail-0 family word is u p^(n-1) 0^inf with |u| = m = n-1-t; only the
     bases u p holding every symbol 1..k-1 are walked, as the rest relabel
@@ -443,18 +447,23 @@ def _oracle_slice(args):
         for r, order in enumerate(orders):
             if m:
                 P = ring[r : r + width].rstrip(b"\0")
-                _prepend([P[i:] for i in order], [m + i for i in order], P, m, missing, k, found)
+                _prepend([P[i:] for i in order], bytearray([m + i for i in order]), P, m, missing, k, found)
             else:
-                found.add(order)
+                found.add(bytes(order))
     return found
 
 
 def _least_alphabets(n: int, N: int, workers: int) -> dict:
-    """{order: N(pi)} for every pi with N(pi) <= N, from one sweep of the normalized tail-0 words.
+    """{order: N(pi)} for every pi with N(pi) <= N, one bytes key per complement pair.
 
-    A key is the suffix order _order would return, the inverse of pi; no key
-    is inverted here. The plan is checked before any job runs:
-    BoundExceededError past _ORACLE_WORD_BOUND words.
+    A key is the suffix order _order would return, the inverse of pi, as
+    bytes; no key is inverted here. An order and its reversal (the order of
+    the complement of pi) share N(pi) and differ for n >= 2, so only the
+    smaller is kept: count_row counts each key twice, oracle_allowed yields
+    both orders and omega_census looks an order up both ways. Starts fit in
+    a byte, as n <= 255 wherever a job runs: for N >= 2 the plan passes the
+    bound from n = 36 on, and N = 1 plans no job. The plan is checked
+    before any job runs: BoundExceededError past _ORACLE_WORD_BOUND words.
 
     Patterns depend only on how symbols compare, and a family word's tail is
     its least or largest symbol, so a word with k distinct symbols relabels,
@@ -469,7 +478,8 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
     complements of what these realize, whose suffix orders are these orders
     reversed. The jobs (k, t) therefore sweep tail 0 only, one per cut
     t = |p| in 1..n-1, in increasing k, and an order and its reversal take
-    the k of the first job that finds either.
+    the k of the first job that finds either. A job's set is filtered
+    against the map in C first, so only the orders left over are reversed.
     """
     jobs, words = [], 0
     for k, count in _oracle_plan(n, N):
@@ -480,9 +490,10 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
         jobs += [(n, k, t) for t in range(1, n)]
     least = {}
     for (_, k, _), part in zip(jobs, _fan_out(_oracle_slice, jobs, workers)):
-        for o in part:
-            if o not in least:
-                least[o] = least[o[::-1]] = k
+        for o in part.difference(least):
+            r = o[::-1]
+            if r not in least:
+                least[min(o, r)] = k
     return least
 
 
@@ -495,11 +506,13 @@ def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     words (tail k-1) realize; together they are the family u p^(n-1) x^inf,
     x in {0, k-1}, which realizes every allowed pattern. Uses only
     lexicographic suffix comparison; the minimal-alphabet formula is never
-    consulted.
+    consulted. The oracle's map keeps one order per complement pair, so
+    each key gives two patterns: its own and its reversal's.
     """
     _size(n, 2, "n")
     _size(N, 1, "N")
-    return frozenset(map(_ranks_of, _least_alphabets(n, N, workers)))
+    least = _least_alphabets(n, N, workers)
+    return frozenset(map(_ranks_of, chain(least, (o[::-1] for o in least))))
 
 
 def forbidden(n: int, N: int, workers: int = 1) -> frozenset:
@@ -597,8 +610,11 @@ def omega_census(n: int, N: int) -> OmegaCensus:
                 order = _order(b + p * (n - 2), b"\0", n)
                 if order is None:
                     undefined += weight
-                elif order in least:  # an order the oracle lacks is counted nowhere, and fails ok
-                    j = N - least[order]
+                    continue
+                key = bytes(order)  # the map keys one order of each complement pair
+                k_least = least.get(key) or least.get(key[::-1])
+                if k_least:  # an order the oracle lacks is counted nowhere, and fails ok
+                    j = N - k_least
                     buckets[j] += weight
                     theta_buckets[j] += weight * (order[0] == n - 1)  # pi(n) = 1: suffix n is least
     actual = CensusCounts(total, undefined, buckets, sum(theta_buckets.values()), theta_buckets)

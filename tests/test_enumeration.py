@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from functools import cache
 from itertools import permutations, product
@@ -88,9 +89,14 @@ def s_n(n):
     return permutations(range(1, n + 1))
 
 
+def expanded(least):
+    """The oracle's {order: k} map with both orders of each complement pair as tuple keys."""
+    return {tuple(o): k for key, k in least.items() for o in (key, key[::-1])}
+
+
 def least_patterns(n, N):
     """The oracle's {order: k} map keyed by pattern: each suffix order inverted, by its definition."""
-    return {inverse(tuple(i + 1 for i in o)): k for o, k in _least_alphabets(n, N, 1).items()}
+    return {inverse(tuple(i + 1 for i in o)): k for o, k in expanded(_least_alphabets(n, N, 1)).items()}
 
 
 def family_least(n, N):
@@ -645,7 +651,7 @@ class TestOracle:
             for k in range(2, (n if n <= 7 else 5) + 1):
                 orders, _ = walked_orders(n, k)
                 for t in range(1, n):
-                    assert _oracle_slice((n, k, t)) == orders[t], (n, k, t)
+                    assert _oracle_slice((n, k, t)) == set(map(bytes, orders[t])), (n, k, t)
 
     @pytest.mark.parametrize("n, N", [(5, 3), (6, 4), (7, 3), (7, 5), (8, 4)])
     def test_sweeps_the_tail_zero_words_on_exactly_k_symbols(self, n, N):
@@ -664,7 +670,32 @@ class TestOracle:
     def test_map_equals_the_walk_it_replaced(self):
         cells = [(n, N) for n in range(2, 9) for N in range(1, n + 2)] + [(9, 3), (9, 4)]
         for n, N in cells:
-            assert _least_alphabets(n, N, 1) == walked_least(n, N), (n, N)
+            assert expanded(_least_alphabets(n, N, 1)) == walked_least(n, N), (n, N)
+
+    def test_one_bytes_key_per_complement_pair(self):
+        # an order and its reversal share their least alphabet, so the map
+        # keeps only the smaller of the two, as bytes: no key's reversal is a key
+        for n, N in ((2, 2), (5, 3), (6, 6), (8, 4)):
+            least = _least_alphabets(n, N, 1)
+            assert least, (n, N)
+            assert all(type(o) is bytes and o < o[::-1] for o in least), (n, N)
+
+    def test_map_peak_allocation(self):
+        # the (8, 4) map holds 14,502 bytes keys for its 29,004 patterns and
+        # peaks near 1.6 MB of traced allocation; a tuple key for each order
+        # and its reversal peaked near 5 MB
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            least = _least_alphabets(8, 4, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert 2 * len(least) == sum(count_row(8, 4)) == 29_004
+        assert peak < 2.5 * 2**20, peak
 
     def test_a_job_leaves_no_cycle_holding_its_orders(self):
         # with the cycle collector off, a job's order set is freed once the
@@ -694,6 +725,16 @@ class TestOracle:
             _least_alphabets(n, N, 1)
         with pytest.raises(BoundExceededError, match=f"^n={n} N={N} exceeds the oracle bound"):
             omega_census(n, N)
+
+    def test_word_bound_refuses_only_past_it(self, monkeypatch):
+        # (8, 4) plans exactly 85,855 words: at that bound the row runs, one
+        # word below it the plan is refused before any job starts
+        monkeypatch.setattr(enumeration, "_ORACLE_WORD_BOUND", 85_855)
+        assert count_row(8, 4, method="oracle") == count_row(8, 4)
+        monkeypatch.setattr(enumeration, "_ORACLE_WORD_BOUND", 85_854)
+        poison(monkeypatch, "_oracle_slice", "_fan_out")
+        with pytest.raises(BoundExceededError, match="^n=8 N=4 exceeds the oracle bound of 85854 words$"):
+            _least_alphabets(8, 4, 1)
 
     def test_eventually_constant_words_add_nothing(self):
         # formula-free check: short one-tailed binary words stay inside
