@@ -13,12 +13,11 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_BOUND, check_bound, count_table
-from .permutations import _size, descent_set, theta_inv
+from .permutations import _size, theta_inv
 from .words import _psi_terms
 
 __all__ = [
     "DescentDistribution",
-    "descent_distribution",
     "Conjecture1Report",
     "check_conjecture1",
     "phi",
@@ -37,11 +36,6 @@ class DescentDistribution(NamedTuple):
 
     def size(self) -> int:
         return sum(self.by_set.values())
-
-
-def descent_distribution(elements) -> DescentDistribution:
-    """The descent-set distribution of the given permutations, each read once."""
-    return _distribution(Counter(descent_set(e) for e in elements))
 
 
 def _distribution(by_set) -> DescentDistribution:

@@ -17,7 +17,7 @@ from math import comb
 from operator import gt, itemgetter
 from typing import NamedTuple
 
-from .permutations import _cycle_block, _ranks_of, _size, marked_inverse, marked_rc, theta_inv
+from .permutations import _blocks, _cycle_block, _ranks_of, _size, marked_inverse, marked_rc, theta_inv
 from .words import _order, _squarefree_below, is_primitive, psi
 
 __all__ = [
@@ -275,15 +275,12 @@ def _rc_blocks(n: int) -> list:
     of s at n-i and r_i > r_{i+2} is s_j > s_{j+2} at j = n-1-i, so D and G
     are the same; r_2 = 1 iff s_{n-1} = n and r_{n-1} = n iff s_2 = 1, so
     the two end terms swap and sigma and rho give the same two-value tally.
-    So only the blocks with (a, b) <= (n+1-b, n+1-a) are swept: weight 2
-    when strictly smaller, 1 when the block is its own partner (a + b = n + 1).
-    A cycle has a != b, and for n >= 3 the block (n, 1), 1 -> n -> 1, is
-    empty; for n <= 2 the one n-cycle is its own partner.
+    So only the blocks of _blocks(n) with (a, b) <= (n+1-b, n+1-a) are
+    swept: weight 2 when strictly smaller, 1 when the block is its own
+    partner (a + b = n + 1), as the one block is for n <= 2.
     """
-    if n <= 2:
-        return [(n, 1, 1)]
-    return [(a, b, 1 if a + b == n + 1 else 2) for a in range(2, n + 1) for b in range(1, n)
-            if a != b and (a, b) != (n, 1) and (a, b) <= (n + 1 - b, n + 1 - a)]
+    return [(a, b, 1 if a + b == n + 1 else 2) for a, b in _blocks(n)
+            if (a, b) <= (n + 1 - b, n + 1 - a)]
 
 
 def enumerate_by_nmin(n: int, bound: int = DEFAULT_BOUND, workers: int = 1) -> PatternRow:
@@ -317,7 +314,7 @@ def _bases(prefix: bytes, left: int, missing: frozenset, k: int):
         yield prefix
         return
     for s in range(k):
-        yield from _bases(prefix + bytes((s,)), left - 1, missing - {s}, k)
+        yield from _bases(prefix + _HEADS[s], left - 1, missing - {s}, k)
 
 
 # about three weeks of words at one worker; (13, 13) plans 6.7e11, so no sweep
@@ -389,11 +386,6 @@ def _prepend(keys: list, starts: bytearray, front: bytes, left: int, missing: fr
         del keys[i], starts[i]
 
 
-def _sorted_starts(P: bytes, count: int) -> tuple:
-    """The starts 0..count-1 of P in increasing order of their slices P[i:]."""
-    return tuple(sorted(range(count), key=lambda i: P[i:]))
-
-
 def _oracle_slice(args):
     """The suffix orders, as bytes, of the tail-0 family words on exactly 0..k-1 cut at |p| = t.
 
@@ -406,10 +398,10 @@ def _oracle_slice(args):
     whose t+1 periodic starts all read 0^inf, is skipped.
 
     The walk builds the base right to left: each p as a rotation of a
-    necklace from _necklaces, then u from _prepend. Once p is whole, its t+1
-    periodic starts are put in order (for m = 0 that is the order); each
-    symbol of u then inserts one suffix into its parent's sorted keys. A
-    slice's start in the final word is m + its start in P.
+    necklace from _necklaces, then u from _prepend. Once p is whole,
+    _order(P, 0) puts its t+1 periodic starts in order (for m = 0 that is
+    the order); each symbol of u then inserts one suffix into its parent's
+    sorted keys. A slice's start in the final word is m + its start in P.
 
     A power (root < t) sorts each of its root distinct rotations, and so
     does every necklace when n < 4 or t = 1. Otherwise a primitive
@@ -437,13 +429,13 @@ def _oracle_slice(args):
             continue
         ring = neck * n  # rotation r repeated n-1 times is ring[r : r + width]
         if n >= 4 and 1 < root == t:  # primitive: one sort, relabeled for each rotation
-            R = _sorted_starts(ring[:width].rstrip(b"\0"), t)
+            R = _order(ring[:width].rstrip(b"\0"), b"\0", t)
             relabel, orders = itemgetter(*R), []
             for r in range(t):
                 order, j = relabel(labels[t - r : 2 * t - r]), R.index(r)
                 orders.append(order[:j] + (t,) + order[j:])
         else:  # a power, t = 1 or n < 4: each distinct rotation sorts its own starts
-            orders = [_sorted_starts(ring[r : r + width].rstrip(b"\0"), t + 1) for r in range(root)]
+            orders = [_order(ring[r : r + width].rstrip(b"\0"), b"\0", t + 1) for r in range(root)]
         for r, order in enumerate(orders):
             if m:
                 P = ring[r : r + width].rstrip(b"\0")

@@ -16,15 +16,11 @@ __all__ = [
     "reduce",
     "descent_set",
     "descent_count",
-    "eulerian_row",
-    "contains_consecutive",
     "complement",
     "inverse",
-    "n_cycles",
     "theta",
     "theta_inv",
     "marked_cycles",
-    "star_deleted",
     "marked_des",
     "marked_eps",
     "marked_rc",
@@ -98,38 +94,6 @@ def descent_count(seq) -> int:
     return len(descent_set(seq))
 
 
-def eulerian_row(n: int) -> tuple:
-    """Eulerian numbers (count of permutations of S_n by descents 0..n-1).
-
-    Classical recurrence E(n,k) = (k+1)E(n-1,k) + (n-k)E(n-1,k-1).
-    """
-    _size(n, 1, "n")
-    row = [1]
-    for m in range(2, n + 1):
-        row = [
-            (k + 1) * (row[k] if k < len(row) else 0)
-            + (m - k) * (row[k - 1] if k >= 1 else 0)
-            for k in range(m)
-        ]
-    return tuple(row)
-
-
-def contains_consecutive(sigma, pi) -> frozenset:
-    """Start positions of windows of sigma reducing to pi; empty = avoidance.
-
-    >>> sorted(contains_consecutive((4, 2, 1, 7, 5, 3, 6), (2, 1, 3)))
-    [2, 5]
-    """
-    sigma = check_permutation(sigma)
-    pi = check_permutation(pi)
-    m = len(pi)
-    if m > len(sigma):
-        raise ValueError("pattern longer than the host permutation")
-    return frozenset(
-        i + 1 for i in range(len(sigma) - m + 1) if reduce(sigma[i : i + m]) == pi
-    )
-
-
 def complement(pi) -> tuple:
     """i -> n+1-pi(i)."""
     pi = check_permutation(pi)
@@ -154,35 +118,29 @@ def inverse(pi) -> tuple:
     return tuple(_positions(check_permutation(pi))[1:])
 
 
-def _cycles(n: int, second: int):
-    """The n-cycles with sigma(1) = second, as lists [0, sigma_1, ..., sigma_n, n+1].
+def _blocks(n: int) -> list:
+    """Every (first, last) = (sigma(1), sigma(n)) that some n-cycle has: the blocks of _cycle_block.
 
-    The pads make s[i] index sigma_i directly and compare below and above
-    every entry, so a descent at either end needs no special case. For
-    n = 1 the one cycle has second = 1. The cycles 1 -> second -> ... -> 1
-    come in lexicographic order of the rest of the walk, which is the
-    order of n_cycles. Each list is new, so callers may keep it.
+    A cycle has first != last, and for n >= 3 the block (n, 1), 1 -> n -> 1,
+    is empty; for n <= 2 the one n-cycle is the block (n, 1).
     """
-    rest = [v for v in range(2, n + 1) if v != second]
-    for walk in _all_permutations(rest):
-        s = [0] * (n + 1) + [n + 1]
-        s[1] = prev = second
-        for v in walk:
-            s[prev] = prev = v
-        s[prev] = 1
-        yield s
+    if n <= 2:
+        return [(n, 1)]
+    return [(a, b) for a in range(2, n + 1) for b in range(1, n) if a != b and (a, b) != (n, 1)]
 
 
 def _cycle_block(n: int, first: int, last: int):
-    """The n-cycles with sigma(1) = first and sigma(n) = last, padded as _cycles pads them.
+    """The n-cycles with sigma(1) = first and sigma(n) = last, as lists [0, sigma_1, ..., sigma_n, n+1].
 
-    The block must hold a cycle: first != last, or n = 1, and (first, last)
-    is not (n, 1) when n >= 3. In the walk 1 -> first -> ... -> 1, n stands
-    for the glued pair n -> last, and each list is mended at the end: last
-    takes n's successor and n points at last. When last = 1 the pair closes
-    the walk, so n is left out and comes last; for n = 2 the walk is empty.
-    The (n-3)! cycles of a block (for n >= 3) come in lexicographic order of
-    the free part of the walk. Each list is new, so callers may keep it.
+    The pads make s[i] index sigma_i directly and compare below and above
+    every entry, so a descent at either end needs no special case. The
+    block (first, last) is one of _blocks(n). In the walk 1 -> first -> ...
+    -> 1, n stands for the glued pair n -> last, and each list is mended at
+    the end: last takes n's successor and n points at last. When last = 1
+    the pair closes the walk, so n is left out and comes last; for n <= 2
+    the walk is empty. The (n-3)! cycles of a block (for n >= 3) come in
+    lexicographic order of the free part of the walk. Each list is new, so
+    callers may keep it.
     """
     if last == 1:
         rest, end = [v for v in range(2, n) if v != first], n
@@ -198,17 +156,6 @@ def _cycle_block(n: int, first: int, last: int):
             s[last] = s[n]
         s[n] = last
         yield s
-
-
-def n_cycles(n: int):
-    """All (n-1)! permutations of S_n that are a single n-cycle.
-
-    Ordered by the cycle 1 -> sigma(1) -> sigma^2(1) -> ... read as a word.
-    """
-    _size(n, 1, "n")
-    for second in range(min(n, 2), n + 1):  # sigma(1) = 1 only when n = 1
-        for s in _cycles(n, second):
-            yield tuple(s[1:-1])
 
 
 def theta(pi) -> tuple:
@@ -244,10 +191,13 @@ def theta_inv(mc) -> tuple:
 
 
 def marked_cycles(n: int):
-    """All n! marked cycles: n-cycles with one one-line entry erased."""
-    for sigma in n_cycles(n):
-        for p in range(n):
-            yield sigma[:p] + (0,) + sigma[p + 1 :]
+    """All n! marked cycles: n-cycles with one one-line entry erased, block by block."""
+    _size(n, 1, "n")
+    for first, last in _blocks(n):
+        for s in _cycle_block(n, first, last):
+            sigma = tuple(s[1:-1])
+            for p in range(n):
+                yield sigma[:p] + (0,) + sigma[p + 1 :]
 
 
 def _check_marked_shape(mc) -> tuple:
@@ -263,10 +213,6 @@ def _check_marked_shape(mc) -> tuple:
 def _missing_value(mc) -> int:
     """The value of 1..n hidden behind the mark; mc is trusted to have the marked cycle shape."""
     return set(range(1, len(mc) + 1)).difference(mc).pop()
-
-
-def star_deleted(mc) -> tuple:
-    return tuple(e for e in _check_marked_shape(mc) if e)
 
 
 def marked_des(mc) -> int:

@@ -152,12 +152,6 @@ class EventuallyPeriodicWord:
         w.pre, w.per, w.alphabet_size = pre[:cut], per[r:] + per[:r], alphabet_size
         return w
 
-    def symbol_at(self, i: int) -> int:
-        """The i-th symbol, 1-indexed."""
-        if _size(i, 1, "i") <= len(self.pre):
-            return self.pre[i - 1]
-        return self.per[(i - len(self.pre) - 1) % len(self.per)]
-
     def suffix(self, k: int) -> "EventuallyPeriodicWord":
         """Left shift by k-1 letters; suffix(w, 1) is w itself."""
         drop = _size(k, 1, "k") - 1

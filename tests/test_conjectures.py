@@ -12,18 +12,17 @@ from shiftpat import (
     check_conjecture2,
     count_a,
     descent_count,
-    descent_distribution,
-    eulerian_row,
     marked_cycles,
     marked_des,
     marked_eps,
     marked_rc,
-    n_cycles,
     phi,
     phi_inv,
 )
 from shiftpat import conjectures
 from shiftpat.conjectures import _by_exact_set, _necklaces
+
+from references import descent_distribution, eulerian_row, n_cycles
 
 
 def e_n(n):

@@ -53,9 +53,11 @@ from shiftpat.enumeration import (
     _primitive_sum,
     _rc_blocks,
 )
-from shiftpat.permutations import _cycle_block, _cycles, _ranks_of, inverse, n_cycles
+from shiftpat.permutations import _blocks, _cycle_block, _ranks_of, inverse
 from shiftpat.realization import _n_min
 from shiftpat.words import _order
+
+from references import n_cycles, padded_cycles
 
 GOLDEN = Path(__file__).parent / "golden"
 SHIFTPAT_MODULES = (shiftpat, conjectures, enumeration, permutations_module, realization, words)
@@ -156,7 +158,7 @@ def marks_slice(n, second):
     [..., n, *].
     """
     counts = Counter()
-    for s in _cycles(n, second):
+    for s in padded_cycles(n, second):
         counts.update(cycle_marks(n, s))
     return counts
 
@@ -169,13 +171,6 @@ def cycle_marks(n, s):
     N[0] += s[2] == 1
     N[-1] += s[n - 1] == n
     return N
-
-
-def all_blocks(n):
-    """Every (sigma(1), sigma(n)) that some n-cycle has, on both sides of the rc pairing."""
-    if n <= 2:
-        return [(n, 1)]
-    return [(a, b) for a in range(2, n + 1) for b in range(1, n) if a != b and (a, b) != (n, 1)]
 
 
 def census_reference(n, N):
@@ -457,7 +452,7 @@ class TestBruteForce:
     def test_each_slice_matches_the_mark_loop(self, n):
         # the blocks with sigma(1) = second, over every sigma(n), make up that sigma(1) slice
         for second in range(min(n, 2), n + 1):
-            blocks = [_nmin_slice((n, a, b)) for a, b in all_blocks(n) if a == second]
+            blocks = [_nmin_slice((n, a, b)) for a, b in _blocks(n) if a == second]
             assert sum(blocks, Counter()) == marks_slice(n, second), (n, second)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -470,20 +465,23 @@ class TestBruteForce:
             marks = [Counter(cycle_marks(n, (0,) + c + (n + 1,))) for c in (sigma, rho)]
             assert marks[0] == marks[1], sigma
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_blocks_partition_the_cycles(self, n):
+        # _blocks lists each (sigma(1), sigma(n)) that some n-cycle has, once
+        ends = {(sigma[0], sigma[-1]) for sigma in n_cycles(n)}
+        assert sorted(_blocks(n)) == sorted(ends)
         seen = Counter()
-        for a, b in all_blocks(n):
+        for a, b in _blocks(n):
             block = [tuple(s[1:-1]) for s in _cycle_block(n, a, b)]
-            assert len(block) == math.factorial(n - 3), (a, b)
+            assert len(block) == math.factorial(max(n - 3, 0)), (a, b)
             assert all(sigma[0] == a and sigma[-1] == b for sigma in block), (a, b)
             seen.update(block)
         assert seen == Counter(n_cycles(n))
         # one side of the pairing, each block weighted by its partner, covers them all
         halves = _rc_blocks(n)
         partners = {(a, b) for a, b, _ in halves} | {(n + 1 - b, n + 1 - a) for a, b, _ in halves}
-        assert partners == set(all_blocks(n))
-        assert sum(w for _, _, w in halves) * math.factorial(n - 3) == math.factorial(n - 1)
+        assert partners == set(_blocks(n))
+        assert sum(w for _, _, w in halves) * math.factorial(max(n - 3, 0)) == math.factorial(n - 1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_halved_row_matches_the_full_sweep(self, n):
@@ -878,8 +876,9 @@ class TestOmegaCensus:
 
     def test_orders_at_most_twice_the_oracle_plan(self, monkeypatch):
         # the census orders one word per relabeling class, on the oracle's
-        # bases from k = 1, besides the oracle's own sweep; a sweep of all
-        # N^(n-1) bases makes 292,622 calls here
+        # bases from k = 1 (5,206 calls), and the oracle's own sweep sorts
+        # each necklace's periodic starts (545); a sweep of all N^(n-1)
+        # bases makes 292,622 calls here
         n, N = 6, 9
         calls = 0
         kernel = enumeration._order
@@ -933,7 +932,7 @@ class TestIndependence:
     # the closed forms: psi, mobius, their sums and the binomial inversion, unrolled or not
     CLOSED = ("_alternate", "_primitive_sum", "mobius", "psi", "solve_recurrence")
     # the word-family oracle
-    ORACLE = ("_oracle_slice", "_oracle_plan", "_necklaces", "_sorted_starts", "_prepend", "_bases",
+    ORACLE = ("_oracle_slice", "_oracle_plan", "_necklaces", "_prepend", "_bases",
               "_least_alphabets", "_order")
 
     @pytest.mark.parametrize("n, N", [(6, 4), (7, 3)])

@@ -1,5 +1,6 @@
 """Permutations, reduction, descents, symmetries, cycles, marked cycles."""
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -8,10 +9,8 @@ from hypothesis import example, given, strategies as st
 from shiftpat import (
     check_permutation,
     complement,
-    contains_consecutive,
     descent_count,
     descent_set,
-    eulerian_row,
     format_marked,
     format_permutation,
     inverse,
@@ -20,14 +19,14 @@ from shiftpat import (
     marked_eps,
     marked_inverse,
     marked_rc,
-    n_cycles,
     parse_permutation,
     reduce,
-    star_deleted,
     theta,
     theta_inv,
 )
 from shiftpat.permutations import _missing_value
+
+from references import eulerian_row, n_cycles
 
 
 def s_n(n):
@@ -85,29 +84,6 @@ class TestDescents:
                 assert row[k] == sum(1 for pi in s_n(n) if descent_count(pi) == k)
 
 
-class TestContainment:
-    def test_increasing_avoids_descent(self):
-        assert contains_consecutive((1, 2, 3), (2, 1)) == frozenset()
-
-    def test_self_containment(self):
-        pi = (3, 1, 4, 2)
-        assert contains_consecutive(pi, pi) == frozenset({1})
-
-    def test_window_scan(self):
-        assert contains_consecutive((4, 2, 1, 7, 5, 3, 6), (2, 1, 3)) == frozenset({2, 5})
-
-    def test_longer_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            contains_consecutive((1, 2), (1, 2, 3))
-
-    def test_every_window_is_contained(self):
-        sigma = (4, 2, 1, 7, 5, 3, 6)
-        for m in range(1, len(sigma) + 1):
-            for s in range(len(sigma) - m + 1):
-                window = reduce(sigma[s : s + m])
-                assert (s + 1) in contains_consecutive(sigma, window)
-
-
 class TestSymmetries:
     def test_complement_pair(self):
         assert complement((1, 2)) == (2, 1)
@@ -156,10 +132,10 @@ class TestTheta:
     def test_bijection_small(self):
         import math
 
-        for n in range(1, 7):
-            images = {theta(pi) for pi in s_n(n)}
+        for n in range(1, 8):
+            images = Counter(theta(pi) for pi in s_n(n))
             assert len(images) == math.factorial(n)
-            assert images == set(marked_cycles(n))
+            assert images == Counter(marked_cycles(n)), n
             for pi in s_n(n):
                 assert theta_inv(theta(pi)) == pi
 
@@ -177,7 +153,6 @@ class TestTheta:
     def test_star_helpers(self):
         mc = (5, 3, 6, 1, 7, 4, 0, 9, 2)
         assert _missing_value(mc) == 8
-        assert star_deleted(mc) == (5, 3, 6, 1, 7, 4, 9, 2)
 
     @pytest.mark.parametrize("helper", [theta_inv, marked_inverse])
     @pytest.mark.parametrize("mc", [(1, 2, 3), (0, 0, 1), (0, 4, 1), (2, 0, 2), ()])

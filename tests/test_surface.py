@@ -20,17 +20,16 @@ from shiftpat import (
     count_table,
     enumerate_by_nmin,
     enumeration,
-    eulerian_row,
     explain_nmin,
     extremal_sextet,
     forbidden,
+    marked_cycles,
     marked_des,
     marked_eps,
     marked_inverse,
     marked_rc,
     minimal_forbidden,
     mobius,
-    n_cycles,
     n_min,
     omega_census,
     oracle_allowed,
@@ -41,7 +40,6 @@ from shiftpat import (
     psi,
     realization,
     realize_check,
-    star_deleted,
     theta,
     theta_inv,
     witness,
@@ -140,18 +138,16 @@ SIZES = {
     "extremal_sextet": (extremal_sextet, "n", 3),
     "omega_census n": (lambda v: omega_census(v, 2), "n", 2),
     "omega_census N": (lambda v: omega_census(3, v), "N", 2),
-    "eulerian_row": (eulerian_row, "n", 1),
-    "n_cycles": (lambda v: list(n_cycles(v)), "n", 1),
+    "marked_cycles": (lambda v: list(marked_cycles(v)), "n", 1),
     "mobius": (mobius, "d", 1),
     "psi N": (lambda v: psi(v, 3), "N", 0),
     "psi t": (lambda v: psi(2, v), "t", 1),
     "pat": (lambda v: pat(WORD, v), "n", 1),
-    "symbol_at": (WORD.symbol_at, "i", 1),
     "suffix": (WORD.suffix, "k", 1),
     "unroll": (WORD.unroll, "length", 0),
     "witness m": (lambda v: witness((2, 1), m=v), "m", 1),  # n = 2 admits m = 1
 }
-MARKED_STATISTICS = [marked_des, marked_eps, marked_rc, star_deleted]
+MARKED_STATISTICS = [marked_des, marked_eps, marked_rc]
 # One table of bad input: a float, True and one below the least for each size, and
 # marked cycle statistics given what is not a marked cycle; (call, bad value, message).
 BOUNDARY = {
@@ -205,6 +201,11 @@ REMOVED = [
     "word_complement",
     "RequiredChain",
     "required_chain",
+    "contains_consecutive",
+    "star_deleted",
+    "eulerian_row",
+    "n_cycles",
+    "descent_distribution",
 ]
 
 
@@ -212,3 +213,8 @@ REMOVED = [
 def test_removed_names_are_gone(name):
     assert not hasattr(shiftpat, name)
     assert not any(hasattr(module, name) for module in MODULES)
+
+
+def test_word_has_no_symbol_at():
+    # a word's symbols are read through unroll; suffix(i).unroll(1) is the i-th one
+    assert not hasattr(EventuallyPeriodicWord, "symbol_at")

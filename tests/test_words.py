@@ -145,12 +145,6 @@ class TestNormalForm:
 
 
 class TestIndexing:
-    def test_symbol_at(self):
-        w = W("10(3)")
-        assert w.symbol_at(1) == 1
-        assert w.symbol_at(2) == 0
-        assert w.symbol_at(5) == 3
-
     def test_suffix_of_constant(self):
         assert W("(0)").suffix(7) == W("(0)")
 
@@ -163,7 +157,7 @@ class TestIndexing:
 
     @given(words(), st.integers(1, 30))
     def test_suffix_agrees_with_symbol_at(self, w, i):
-        assert w.suffix(i).symbol_at(1) == w.symbol_at(i)
+        assert w.suffix(i).unroll(1) == w.unroll(i)[-1:]
 
 
 class TestCompare:
