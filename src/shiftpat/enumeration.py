@@ -14,7 +14,7 @@ from bisect import bisect
 from collections import Counter
 from itertools import chain, permutations as _all_permutations
 from math import comb
-from operator import gt, itemgetter
+from operator import gt
 from typing import NamedTuple
 
 from .permutations import _blocks, _cycle_block, _ranks_of, _size, marked_inverse, marked_rc, theta_inv
@@ -328,37 +328,37 @@ def _oracle_plan(n: int, N: int):
 
     words = (n-1) sum_j (-1)^j C(k-1, j) (k-j)^(n-1): the n - 1 cuts of each
     base in {0..k-1}^(n-1) that holds every symbol 1..k-1, counted by
-    inclusion-exclusion over the missing ones.
+    inclusion-exclusion over the missing ones. That is every family word, so
+    it bounds the sweep of primitive nonzero p: 85,855 and 78,952 at (8, 4).
     """
     for k in range(2, min(N, n) + 1):
         yield k, (n - 1) * sum((-1) ** j * comb(k - 1, j) * (k - j) ** (n - 1) for j in range(k))
 
 
-def _necklaces(prefix: bytes, root: int, t: int, missing: frozenset, spare: int, k: int):
-    """(necklace, root, still missing) per necklace of length t on 0..k-1 lacking at most spare of missing.
+def _lyndon_words(prefix: bytes, root: int, t: int, missing: frozenset, spare: int, k: int):
+    """(word, still missing) per Lyndon word of length t on 0..k-1 lacking at most spare of missing.
 
-    A necklace is the least of its rotations. The walk is the
-    Fredricksen-Kessler-Maiorana one (Ruskey, Savage and Wang,
-    J. Algorithms 13, 1992), depth first, left to right and in
-    increasing order: prefix starts with a sentinel 0, and root is the
-    length of its longest Lyndon prefix, so the symbol root places back
-    keeps root, any larger symbol makes the whole prefix the root, and a
-    whole prefix is a necklace iff root divides t, with root the length of
-    its primitive root. A prefix is dropped as soon as the symbols still
+    A Lyndon word is a primitive necklace, the strict least of its
+    rotations. The walk is the Fredricksen-Kessler-Maiorana one (Ruskey,
+    Savage and Wang, J. Algorithms 13, 1992), depth first and in increasing
+    order: prefix starts with a sentinel 0, and root is the length of its
+    longest Lyndon prefix, so the symbol root places back keeps root, any
+    larger symbol makes the whole prefix the root, and a whole prefix is a
+    Lyndon word iff root is t. A prefix is dropped once the symbols still
     missing outnumber the positions left plus spare; the symbol multiset,
     so what is missing, is the same for every rotation.
     """
     j = len(prefix)  # the position filled next; the sentinel is position 0
     if j > t:
-        if not t % root:
-            yield prefix[1:], root, missing
+        if root == t:
+            yield prefix[1:], missing
         return
     low = prefix[j - root]
     tight = len(missing) == t - j + 1 + spare  # every position left must take a missing symbol
     for s in range(low, k):
         if tight and s not in missing:
             continue
-        yield from _necklaces(prefix + _HEADS[s], root if s == low else j, t, missing - {s}, spare, k)
+        yield from _lyndon_words(prefix + _HEADS[s], root if s == low else j, t, missing - {s}, spare, k)
 
 
 def _prepend(keys: list, starts: bytearray, front: bytes, left: int, missing: frozenset, k: int, found: set):
@@ -391,52 +391,50 @@ def _oracle_slice(args):
 
     A tail-0 family word is u p^(n-1) 0^inf with |u| = m = n-1-t; only the
     bases u p holding every symbol 1..k-1 are walked, as the rest relabel
-    into a smaller k. Each suffix is keyed, as _order keys it, by its slice
-    of q = u P, P = (p^(n-1)).rstrip(0): 0 is the least symbol, so the
-    shorter of two slices that agree up to its end is the smaller. P ends in
-    a nonzero symbol, so the n keys differ in length and never tie; p = 0^t,
-    whose t+1 periodic starts all read 0^inf, is skipped.
+    into a smaller k, and only primitive p, as a power adds no order (b).
+    Each suffix is keyed, as _order keys it, by its slice of q = u P,
+    P = (p^(n-1)).rstrip(0): 0 is the least symbol, so the shorter of two
+    slices that agree up to its end is the smaller. P ends in a nonzero
+    symbol, so the n keys never tie; p = 0 at t = 1 ties and is skipped.
 
-    The walk builds the base right to left: each p as a rotation of a
-    necklace from _necklaces, then u from _prepend. Once p is whole,
-    _order(P, 0) puts its t+1 periodic starts in order (for m = 0 that is
-    the order); each symbol of u then inserts one suffix into its parent's
+    The walk builds the base right to left: p as each rotation of a Lyndon
+    word from _lyndon_words, then u from _prepend. _order sorts the Lyndon
+    word's t periodic starts once, each rotation relabels that sort and adds
+    start t (a), and each symbol of u inserts one suffix into its parent's
     sorted keys. A slice's start in the final word is m + its start in P.
 
-    A power (root < t) sorts each of its root distinct rotations, and so
-    does every necklace when n < 4 or t = 1. Otherwise a primitive
-    necklace is sorted once and its t rotations relabel that sort. Let
-    P = P_0 and P_r be the P of the necklace and of its rotation by r, and
-    R the starts 0..t-1 of P in increasing order. Then
-    len(P_r) >= (n-2)t + 1, as p^(n-1) loses at most t-1 trailing zeros.
-    The t rotations of a primitive p are distinct, so two of them differ
-    within their first t symbols, and every slice P_r[i:] with i <= t is
-    longer than that, at least (n-3)t + 1 >= t + 1 symbols: starts
-    i, j < t of P_r compare as the rotations of p by r+i and r+j do, as
-    starts r+i and r+j (mod t) of P. So the starts 0..t-1 of P_r, in
-    order, are R relabeled by i -> (i - r) mod t. Last,
-    P_r[t:] = p^(n-3) p.rstrip(0) is a proper prefix of P_r[0:], so
-    smaller, and long enough to differ from every other start exactly
-    where start 0 does: start t sits just below start 0.
+    (a) Let P_r be the P of p_r, the rotation by r, and R the starts 0..t-1
+    of P = P_0 in order. For any n >= 2, those of P_r are R relabeled by
+    i -> (i - r) mod t, and start t sits just below start 0. For i < t the
+    slice P_r[i:] holds at least (n-3)t + 2 >= t symbols of p_r^inf from i,
+    as p_r^(n-1) loses at most t-1 trailing zeros and t <= n-1; a primitive
+    p has t distinct rotations, so starts i, j < t differ within t symbols
+    as starts (r+i) mod t and (r+j) mod t of P do. Start t reads
+    p_r^(n-2) 0^inf, so for n >= 3 it agrees with start 0 on (n-2)t >= t
+    symbols and meets each start 0 < i < t as start 0 does (n = 2 has no
+    such i), and its slice is a proper prefix of start 0's.
+
+    (b) Let p = q^j, j >= 2, s = |q|, L = |u| = n-1-js <= s(n-3).
+    W = u q^(j(n-1)) 0^inf and W' = u q^(j-1) q^(n-1) 0^inf, a word of job
+    (k, s) on the same symbols, agree on their first E = L + s(n+j-2)
+    symbols. Two of the first n suffixes, from a < b <= n-1, differ before
+    b reaches E, alike in both words, or agree on at least s(n-2) - L >= s
+    symbols of the q-run; q being primitive, they then read q^inf at the
+    same phase until b reads 0^inf, against q^((b-a)/s) 0^inf at a, in
+    both words. So W orders its first n suffixes as W' does.
     """
     n, k, t = args
     m = n - 1 - t
     width = (n - 1) * t
-    labels = tuple(range(t)) * 2  # labels[t - r + i] = (i - r) mod t
     found = set()
-    for neck, root, missing in _necklaces(b"\0", 1, t, frozenset(range(1, k)), m, k):
-        if not neck[-1]:  # a necklace holding a nonzero symbol ends in one, so this is 0^t
+    for word, missing in _lyndon_words(b"\0", 1, t, frozenset(range(1, k)), m, k):
+        if not word[-1]:  # p = 0: a longer Lyndon word ends above its first symbol
             continue
-        ring = neck * n  # rotation r repeated n-1 times is ring[r : r + width]
-        if n >= 4 and 1 < root == t:  # primitive: one sort, relabeled for each rotation
-            R = _order(ring[:width].rstrip(b"\0"), b"\0", t)
-            relabel, orders = itemgetter(*R), []
-            for r in range(t):
-                order, j = relabel(labels[t - r : 2 * t - r]), R.index(r)
-                orders.append(order[:j] + (t,) + order[j:])
-        else:  # a power, t = 1 or n < 4: each distinct rotation sorts its own starts
-            orders = [_order(ring[r : r + width].rstrip(b"\0"), b"\0", t + 1) for r in range(root)]
-        for r, order in enumerate(orders):
+        ring = word * n  # rotation r repeated n-1 times is ring[r : r + width]
+        R = _order(ring[:width].rstrip(b"\0"), b"\0", t)
+        for r in range(t):
+            order = [(i - r) % t for i in R]
+            order.insert(R.index(r), t)
             if m:
                 P = ring[r : r + width].rstrip(b"\0")
                 _prepend([P[i:] for i in order], bytearray([m + i for i in order]), P, m, missing, k, found)
@@ -454,8 +452,9 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
     smaller is kept: count_row counts each key twice, oracle_allowed yields
     both orders and omega_census looks an order up both ways. Starts fit in
     a byte, as n <= 255 wherever a job runs: for N >= 2 the plan passes the
-    bound from n = 36 on, and N = 1 plans no job. The plan is checked
-    before any job runs: BoundExceededError past _ORACLE_WORD_BOUND words.
+    bound from n = 36 on, and N = 1 plans no job. The plan, which bounds
+    the sweep from above, is checked before any job runs:
+    BoundExceededError past _ORACLE_WORD_BOUND words.
 
     Patterns depend only on how symbols compare, and a family word's tail is
     its least or largest symbol, so a word with k distinct symbols relabels,
@@ -492,7 +491,7 @@ def _least_alphabets(n: int, N: int, workers: int) -> dict:
 def oracle_allowed(n: int, N: int, workers: int = 1) -> frozenset:
     """Every pattern of length n realized over N symbols, by direct search.
 
-    Runs pattern extraction over the words u p^(n-1) 0^inf with
+    Runs pattern extraction over the words u p^(n-1) 0^inf, p primitive, with
     |u| + |p| = n - 1 on exactly the symbols 0..k-1, for each 2 <= k <= min(N, n),
     and adds the complement of each pattern found, which the complemented
     words (tail k-1) realize; together they are the family u p^(n-1) x^inf,
@@ -584,8 +583,8 @@ class OmegaCensus(NamedTuple):
 def omega_census(n: int, N: int) -> OmegaCensus:
     """Partition u p^(n-1) 0^inf words by the alphabet need of their pattern.
 
-    Reads no N(pi) formula and walks only the oracle's bases b = u p, once
-    each and keeping no word: a word whose nonzero symbols are k-1 of
+    Reads no N(pi) formula and walks only the oracle's bases b = u p with p
+    primitive, once each and keeping no word: a word whose nonzero symbols are k-1 of
     1..N-1 relabels in order onto 0..k-1, so the zero-tail kernel orders
     one word per C(N-1, k-1) census words, and the oracle's map gives N(pi).
     """

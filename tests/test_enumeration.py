@@ -121,18 +121,20 @@ def family_least(n, N):
 
 @cache
 def walked_orders(n, k):
-    """({t: orders}, bases) of the tail-0 words on exactly 0..k-1, by the oracle's former walk.
+    """({t: orders}, bases) of the tail-0 words on exactly 0..k-1 with a primitive period p.
 
     The reference for the oracle's prepend walk: _bases yields each base
     in {0..k-1}^(n-1) holding every symbol 1..k-1, and words._order sorts
-    the suffixes of each word u p^(n-1) 0^inf, one word per cut t = |p|.
+    the suffixes of each word u p^(n-1) 0^inf, one word per cut t = |p|
+    whose p is primitive; test_a_power_orders_as_its_root covers the powers.
     """
     orders = {t: set() for t in range(1, n)}
     bases = 0
     for base in _bases(b"", n - 1, frozenset(range(1, k)), k):
         bases += 1
         for t in orders:
-            orders[t].add(_order(base + base[n - 1 - t :] * (n - 2), b"\0", n))
+            if is_primitive(p := base[n - 1 - t :]):
+                orders[t].add(_order(base + p * (n - 2), b"\0", n))
     for found in orders.values():
         found.discard(None)
     return orders, bases
@@ -640,16 +642,38 @@ class TestOracle:
                     assert walked == kept, (n, k, first)
 
     def test_each_job_sweeps_exactly_its_symbols(self):
-        # job (k, t) finds the orders of exactly the words on 0..k-1 cut at t;
-        # a word with fewer symbols repeats a smaller job and changes no
-        # merged result, so only the orders per job can show it. Every k <= n
-        # up to n = 7 reaches the jobs the necklace walk prunes most, t = 1,
-        # n < 4 and powers such as (01)^2 at t = 4 and (012)^2 at t = 6
+        # job (k, t) finds the orders of exactly the words on 0..k-1 cut at t
+        # with a primitive period; a word with fewer symbols repeats a smaller
+        # job and changes no merged result, so only the orders per job can
+        # show it. Every k <= n up to n = 7 reaches the jobs the Lyndon walk
+        # prunes most, and t = 1 and n < 4 go through the one relabeled sort
         for n in range(2, 9):
             for k in range(2, (n if n <= 7 else 5) + 1):
                 orders, _ = walked_orders(n, k)
                 for t in range(1, n):
                     assert _oracle_slice((n, k, t)) == set(map(bytes, orders[t])), (n, k, t)
+
+    def test_a_power_orders_as_its_root(self):
+        # a word u (q^j)^(n-1) 0^inf with q primitive and j >= 2 orders its
+        # first n suffixes as u q^(j-1) q^(n-1) 0^inf does, a word with the
+        # primitive period q on the same symbols, so the oracle may skip
+        # powers; words._order alone decides, on every base of each k
+        for n in range(2, 8):
+            checked = 0
+            for k in range(1, n + 1):
+                for base in _bases(b"", n - 1, frozenset(range(1, k)), k):
+                    for t in range(2, n):
+                        u, p = base[: n - 1 - t], base[n - 1 - t :]
+                        s = next(s for s in range(1, t + 1) if p == p[:s] * (t // s))
+                        if s == t:
+                            continue
+                        q, j = p[:s], t // s
+                        v = u + q * (j - 1)  # the other word cut at |q|: v q^(n-1) 0^inf
+                        assert is_primitive(q) and set(v + q) == set(base), (base, t)
+                        order = _order(u + p * (n - 1), b"\0", n)
+                        assert order == _order(v + q * (n - 1), b"\0", n), (base, t)
+                        checked += order is not None
+            assert checked or n < 4, n
 
     @pytest.mark.parametrize("n, N", [(5, 3), (6, 4), (7, 3), (7, 5), (8, 4)])
     def test_sweeps_the_tail_zero_words_on_exactly_k_symbols(self, n, N):
@@ -877,7 +901,7 @@ class TestOmegaCensus:
     def test_orders_at_most_twice_the_oracle_plan(self, monkeypatch):
         # the census orders one word per relabeling class, on the oracle's
         # bases from k = 1 (5,206 calls), and the oracle's own sweep sorts
-        # each necklace's periodic starts (545); a sweep of all N^(n-1)
+        # each Lyndon word's periodic starts (511); a sweep of all N^(n-1)
         # bases makes 292,622 calls here
         n, N = 6, 9
         calls = 0
@@ -932,7 +956,7 @@ class TestIndependence:
     # the closed forms: psi, mobius, their sums and the binomial inversion, unrolled or not
     CLOSED = ("_alternate", "_primitive_sum", "mobius", "psi", "solve_recurrence")
     # the word-family oracle
-    ORACLE = ("_oracle_slice", "_oracle_plan", "_necklaces", "_prepend", "_bases",
+    ORACLE = ("_oracle_slice", "_oracle_plan", "_lyndon_words", "_prepend", "_bases",
               "_least_alphabets", "_order")
 
     @pytest.mark.parametrize("n, N", [(6, 4), (7, 3)])
