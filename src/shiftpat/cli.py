@@ -270,6 +270,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_USAGE if exc.code == 2 else exc.code
+    # a count can pass the int-to-str limit (4300 digits by default), so it
+    # is lifted while the command runs and prints, and the caller's setting
+    # comes back after: tests and the benchmark call main in process
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if saved is None:  # an interpreter without the limit
+        return _run(args)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(args) -> int:
+    """Run the parsed command, print its text lines or JSON object and return its exit code."""
     try:
         given, result, details, lines = args.handler(args)
     except ValueError as exc:

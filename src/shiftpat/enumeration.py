@@ -11,14 +11,14 @@ n*N^(n-1); that asymptotic is informational only.)
 from __future__ import annotations
 
 from bisect import bisect
-from collections import Counter
+from collections import Counter, deque
 from itertools import chain, permutations as _all_permutations
 from math import comb
-from operator import gt
+from operator import gt, mul
 from typing import NamedTuple
 
 from .permutations import _blocks, _cycle_block, _ranks_of, _size, marked_inverse, marked_rc, theta_inv
-from .words import _order, _squarefree_below, is_primitive, psi
+from .words import _order, _primitive_coefficients, is_primitive, psi
 
 __all__ = [
     "BoundExceededError",
@@ -76,21 +76,22 @@ def count_binary(n: int) -> int:
 
 
 def _primitive_sum(n: int, M: int) -> int:
-    """S(n, M) = sum over 1 <= t < n of psi_M(t) M^(n-1-t) for M >= 2, by Moebius inversion.
+    """S(n, M) = sum over 1 <= t < n of psi_M(t) M^(n-1-t), as one integer polynomial in M.
 
-    Write psi_M(t) = sum over d | t of mobius(d) M^(t/d) and swap the two
-    sums: t = d j for 1 <= j <= J = floor((n-1)/d), so
-    S = sum over d < n of mobius(d) sum_{j=1..J} M^(n-1-(d-1) j). The d = 1
-    sum is (n-1) M^(n-1). For d >= 2 the j-sum is geometric in r = M^(d-1):
-    M^(n-1-(d-1)J) (r^J - 1)/(r - 1) = (M^(n-1) - M^((n-1) mod d + J)) / (r - 1),
-    an exact division since r >= 2. So S costs one term per square-free d < n
-    and calls no psi; for n = 2 no d >= 2 is left and S = M.
+    Write psi_M(t) = sum over d | t of mobius(d) M^(t/d) and put t = d j:
+    each d < n and 1 <= j <= floor((n-1)/d) give mobius(d) M^(n-1-j(d-1)).
+    Grouped by the power of M, d = 1 gives (n-1) M^(n-1), and each
+    square-free d >= 2 adds mobius(d) to the coefficient of M^(n-1-j(d-1))
+    for every such j. The coefficients do not depend on M, so
+    words._primitive_coefficients builds them once per n, and each power
+    is at least M^1 as j(d-1) < n-1. So S is M times one Horner pass over
+    them: no power, no division and no psi. The polynomial holds at every M
+    (S(n, 0) = 0, S(n, 1) = 1), and for n = 2 it is M.
     """
-    top = M ** (n - 1)
-    out = (n - 1) * top
-    for d, mu in _squarefree_below(n):
-        out += mu * ((top - M ** ((n - 1) % d + (n - 1) // d)) // (M ** (d - 1) - 1))
-    return out
+    out = 0
+    for c in _primitive_coefficients(n):
+        out = out * M + c
+    return out * M
 
 
 # b_M of the closed forms from S = _primitive_sum(n, M), for a(n, .), g(n, .) and h(n, .)
@@ -104,10 +105,12 @@ _TERMS = {
 def _alternate(n: int, b) -> tuple:
     """r_N = sum_i (-1)^i C(n, i) b_{N-i} for every N of b, indexed from N = 2.
 
-    C(n, i) = 0 for i > n, so each r_N sums at most n + 1 terms.
+    C(n, i) = 0 for i > n, so each r_N is one dot product of at most n + 1
+    terms against b read backwards from N.
     """
     signed = [(-1) ** i * comb(n, i) for i in range(min(len(b), n + 1))]
-    return tuple(sum(c * b[k - i] for i, c in enumerate(signed[: k + 1])) for k in range(len(b)))
+    back, top = b[::-1], len(b) - 1  # back[top - k + i] = b[k - i]
+    return tuple(sum(map(mul, signed, back[top - k : top - k + len(signed)])) for k in range(len(b)))
 
 
 def count_row(n: int, N_max: int, kind: str = "a", method: str = "closed",
@@ -190,12 +193,15 @@ def count_g(n: int, N: int, method: str = "closed") -> int:
 def solve_recurrence(n: int, b) -> tuple:
     """Invert r_N = b_N - sum_{j>=1} C(n+j-1, j) r_{N-j} by running it.
 
-    b is indexed from N = 2. The result must equal _alternate(n, b).
+    b is indexed from N = 2. The binomials are made once, and each r_N is
+    one dot product against the entries before it, latest first. The
+    result must equal _alternate(n, b).
     """
-    r = []
-    for k, b_k in enumerate(b):
-        r.append(b_k - sum(comb(n + j - 1, j) * r[k - j] for j in range(1, k + 1)))
-    return tuple(r)
+    binomials = [comb(n + j - 1, j) for j in range(1, len(b))]
+    back = deque()  # r_{N-1}, r_{N-2}, ... while r_N is computed
+    for b_k in b:
+        back.appendleft(b_k - sum(map(mul, binomials, back)))
+    return tuple(reversed(back))
 
 
 def __getattr__(name: str):

@@ -91,9 +91,19 @@ def _psi_terms(t: int) -> tuple:
 
 
 @cache
-def _squarefree_below(n: int) -> tuple:
-    """(d, mobius(d)) for each square-free d with 2 <= d < n, factored once per n."""
-    return tuple((d, mu) for d in range(2, n) if (mu := mobius(d)))
+def _primitive_coefficients(n: int) -> tuple:
+    """(c_0, ..., c_{n-2}) with S(n, M) = sum_k c_k M^(n-1-k) at every M, built once per n.
+
+    c_0 = n - 1, and each square-free d with 2 <= d < n adds mobius(d) to
+    c_{j(d-1)} for 1 <= j <= floor((n-1)/d); enumeration._primitive_sum
+    derives them.
+    """
+    out = [n - 1] + [0] * (n - 2)
+    for d in range(2, n):
+        if mu := mobius(d):
+            for k in range(d - 1, (n - 1) // d * (d - 1) + 1, d - 1):
+                out[k] += mu
+    return tuple(out)
 
 
 def psi(N: int, t: int) -> int:

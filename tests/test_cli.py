@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from itertools import permutations
 from pathlib import Path
 
@@ -281,6 +282,25 @@ class TestCount:
             "result": 18,
             "details": {"method": "closed"},
         }
+
+    def test_count_past_the_int_to_str_limit(self, capsys):
+        # a(9100, 3) has 4,346 digits, past the default limit of 4,300; Decimal
+        # reads and compares them without int-to-str conversion
+        expected = enumeration.count_a(9100, 3)
+        saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+        if saved is not None:
+            sys.set_int_max_str_digits(4300)
+        try:
+            text_code, text, _ = run_cli(capsys, "count", "9100", "3")
+            json_code, dumped, _ = run_cli(capsys, "count", "--json", "9100", "3")
+            if saved is not None:
+                assert sys.get_int_max_str_digits() == 4300
+        finally:
+            if saved is not None:
+                sys.set_int_max_str_digits(saved)
+        assert text_code == json_code == EXIT_OK
+        assert len(text) == 4347 and Decimal(text) == expected
+        assert json.loads(dumped, parse_int=Decimal)["result"] == expected
 
 
 class TestTable:

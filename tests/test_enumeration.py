@@ -274,9 +274,17 @@ class TestClosedForms:
         assert rows == {n: list(count_row(n, max(2, n - 1))) for n in range(2, 61)}
 
     def test_primitive_sum_equals_the_psi_horner_sum(self):
+        # the polynomial holds at every M: S(n, 0) = 0 and S(n, 1) = 1
         for n in range(2, 81):
-            for M in range(2, 21):
+            for M in range(0, 21):
                 assert _primitive_sum(n, M) == psi_horner_sum(n, M), (n, M)
+            assert (_primitive_sum(n, 0), _primitive_sum(n, 1)) == (0, 1), n
+        for n in (500, 2000):
+            for M in (2, 3):
+                assert _primitive_sum(n, M) == psi_horner_sum(n, M), (n, M)
+        # the sums behind count 5 100000
+        for M in range(2, 3001):
+            assert _primitive_sum(5, M) == psi_horner_sum(5, M), M
 
     def test_primitive_sums_call_no_psi(self, monkeypatch):
         def cells():
@@ -954,7 +962,8 @@ class TestIndependence:
                 "marked_des", "marked_eps", "_marked_des", "_marked_eps", "_nmin_slice",
                 "enumerate_by_nmin")
     # the closed forms: psi, mobius, their sums and the binomial inversion, unrolled or not
-    CLOSED = ("_alternate", "_primitive_sum", "mobius", "psi", "solve_recurrence")
+    CLOSED = ("_alternate", "_primitive_sum", "_primitive_coefficients", "mobius", "psi",
+              "solve_recurrence")
     # the word-family oracle
     ORACLE = ("_oracle_slice", "_oracle_plan", "_lyndon_words", "_prepend", "_bases",
               "_least_alphabets", "_order")
