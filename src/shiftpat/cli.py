@@ -180,21 +180,17 @@ def _cmd_xcheck(args) -> tuple:
     return {"n_max": args.n_max, "N_max": args.N_max}, all_ok, {"cells": cells}, lines
 
 
-def _worker_count(text: str) -> int:
-    if not (text.strip().isdecimal() and text.isascii()):
-        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 0, not {text!r}")
+def _integer(text: str) -> int:
+    """An integer argument: ASCII digits after at most one '-'. Its size is checked where it is used."""
+    if not (text.removeprefix("-").isdecimal() and text.isascii()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object")
-    common.add_argument(
-        "--threads",
-        type=_worker_count,
-        default=1,
-        help="worker count for exhaustive sweeps",
-    )
+    common.add_argument("--threads", type=_integer, default=1, help="worker count for exhaustive sweeps")
     parser = argparse.ArgumentParser(
         prog="shiftpat",
         description="Permutation patterns realized by one-sided full shifts.",
@@ -209,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p.add_argument("--variant", choices=list("ABCDEF"), default=None)
     p.add_argument(
-        "--m", type=int, default=None,
+        "--m", type=_integer, default=None,
         help="repetition count for variants A/B (default: the least the bound admits)",
     )
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("pat", parents=[common], help="pattern of a word's first n suffixes")
     p.add_argument("word", help="word literal PRE(PER), e.g. 10302(0)")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(handler=_cmd_pat)
 
     for name, compute, text in (
@@ -225,40 +221,38 @@ def build_parser() -> argparse.ArgumentParser:
         ("minimal-forbidden", minimal_forbidden, "forbidden patterns minimal by containment"),
     ):
         p = sub.add_parser(name, parents=[common], help=text)
-        p.add_argument("n", type=int)
-        p.add_argument("N", type=int)
+        p.add_argument("n", type=_integer)
+        p.add_argument("N", type=_integer)
         p.set_defaults(handler=_cmd_pattern_set, compute=compute)
 
     p = sub.add_parser("count", parents=[common], help="number of patterns with n_min = N")
-    p.add_argument("n", type=int)
-    p.add_argument("N", type=int)
-    p.add_argument(
-        "--method", choices=["closed", "recurrence", "brute", "oracle"], default="closed"
-    )
+    p.add_argument("n", type=_integer)
+    p.add_argument("N", type=_integer)
+    p.add_argument("--method", choices=["closed", "recurrence", "brute", "oracle"], default="closed")
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("table", parents=[common], help="TSV stratification table")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_integer)
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("sextet", parents=[common], help="the six patterns needing n-1 symbols")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(handler=_cmd_sextet)
 
     p = sub.add_parser("conjecture1", parents=[common], help="descent-set equidistribution check")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument(
-        "--bound", type=int, default=DEFAULT_BOUND, help="largest n the sweep will accept"
+        "--bound", type=_integer, default=DEFAULT_BOUND, help="largest n the sweep will accept"
     )
     p.set_defaults(handler=_cmd_conjecture1)
 
     p = sub.add_parser("conjecture2", parents=[common], help="divisibility of the counts by 6")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_integer)
     p.set_defaults(handler=_cmd_conjecture2)
 
     p = sub.add_parser("xcheck", parents=[common], help="closed vs brute vs oracle audit")
-    p.add_argument("n_max", type=int)
-    p.add_argument("N_max", type=int)
+    p.add_argument("n_max", type=_integer)
+    p.add_argument("N_max", type=_integer)
     p.set_defaults(handler=_cmd_xcheck)
 
     return parser
@@ -286,6 +280,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """Run the parsed command, print its text lines or JSON object and return its exit code."""
     try:
+        _size(args.threads, 0, "workers")
         given, result, details, lines = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from operator import gt, mul
 from typing import NamedTuple
 
 from .permutations import _blocks, _cycle_block, _ranks_of, _size, marked_inverse, marked_rc, theta_inv
-from .words import _order, _primitive_coefficients, is_primitive, psi
+from .words import _order, _primitive_coefficients, psi
 
 __all__ = [
     "BoundExceededError",
@@ -367,8 +367,8 @@ def _lyndon_words(prefix: bytes, root: int, t: int, missing: frozenset, spare: i
         yield from _lyndon_words(prefix + _HEADS[s], root if s == low else j, t, missing - {s}, spare, k)
 
 
-def _prepend(keys: list, starts: bytearray, front: bytes, left: int, missing: frozenset, k: int, found: set):
-    """Add to found the order of each word (left symbols of 0..k-1) + front holding every missing symbol.
+def _prepend(keys: list, starts: bytearray, front: bytes, left: int, missing: frozenset, k: int, emit):
+    """Pass to emit the bytes order of each word (left symbols of 0..k-1) + front holding every missing symbol.
 
     keys are the sorted zero-stripped suffixes of front and starts their
     starts in the final word; each symbol prepended makes one new suffix,
@@ -379,7 +379,7 @@ def _prepend(keys: list, starts: bytearray, front: bytes, left: int, missing: fr
         for s in choices:
             i = bisect(keys, _HEADS[s] + front)
             starts.insert(i, 0)
-            found.add(bytes(starts))
+            emit(bytes(starts))
             del starts[i]
         return
     left -= 1
@@ -388,12 +388,15 @@ def _prepend(keys: list, starts: bytearray, front: bytes, left: int, missing: fr
         i = bisect(keys, key)
         keys.insert(i, key)
         starts.insert(i, left)
-        _prepend(keys, starts, key, left, missing - {s} if s in missing else missing, k, found)
+        _prepend(keys, starts, key, left, missing - {s} if s in missing else missing, k, emit)
         del keys[i], starts[i]
 
 
-def _oracle_slice(args):
+def _oracle_slice(args, emit=None):
     """The suffix orders, as bytes, of the tail-0 family words on exactly 0..k-1 cut at |p| = t.
+
+    Each word's order goes to emit once; by default emit is the add of a
+    new set, which is returned, as the oracle's jobs take it.
 
     A tail-0 family word is u p^(n-1) 0^inf with |u| = m = n-1-t; only the
     bases u p holding every symbol 1..k-1 are walked, as the rest relabel
@@ -433,6 +436,7 @@ def _oracle_slice(args):
     m = n - 1 - t
     width = (n - 1) * t
     found = set()
+    emit = emit or found.add
     for word, missing in _lyndon_words(b"\0", 1, t, frozenset(range(1, k)), m, k):
         if not word[-1]:  # p = 0: a longer Lyndon word ends above its first symbol
             continue
@@ -443,9 +447,9 @@ def _oracle_slice(args):
             order.insert(R.index(r), t)
             if m:
                 P = ring[r : r + width].rstrip(b"\0")
-                _prepend([P[i:] for i in order], bytearray([m + i for i in order]), P, m, missing, k, found)
+                _prepend([P[i:] for i in order], bytearray([m + i for i in order]), P, m, missing, k, emit)
             else:
-                found.add(bytes(order))
+                emit(bytes(order))
     return found
 
 
@@ -589,10 +593,11 @@ class OmegaCensus(NamedTuple):
 def omega_census(n: int, N: int) -> OmegaCensus:
     """Partition u p^(n-1) 0^inf words by the alphabet need of their pattern.
 
-    Reads no N(pi) formula and walks only the oracle's bases b = u p with p
-    primitive, once each and keeping no word: a word whose nonzero symbols are k-1 of
-    1..N-1 relabels in order onto 0..k-1, so the zero-tail kernel orders
-    one word per C(N-1, k-1) census words, and the oracle's map gives N(pi).
+    Reads no N(pi) formula and walks the family by the oracle's own jobs: a
+    word whose nonzero symbols are k-1 of 1..N-1 relabels in order onto
+    0..k-1, so each job (k, t) lists its words' orders, each one standing for
+    C(N-1, k-1) census words, and the oracle's map gives N(pi). The jobs skip
+    only u 0^inf (p = 0 at t = 1), whose suffixes tie; _bases counts those u.
     """
     _size(n, 2, "n")
     _size(N, 2, "N")
@@ -601,19 +606,18 @@ def omega_census(n: int, N: int) -> OmegaCensus:
     total = undefined = 0
     for k in range(1, min(N, n) + 1):
         weight = comb(N - 1, k - 1)
-        for b in _bases(b"", n - 1, frozenset(range(1, k)), k):  # b = u p, cut at every |p|
-            for p in filter(is_primitive, (b[t:] for t in range(n - 1))):
-                total += weight
-                order = _order(b + p * (n - 2), b"\0", n)
-                if order is None:
-                    undefined += weight
-                    continue
-                key = bytes(order)  # the map keys one order of each complement pair
+        undefined += weight * sum(1 for _ in _bases(b"", n - 2, frozenset(range(1, k)), k))
+        for t in range(1, n):
+            orders = []  # one list per job: a list per alphabet holds far more at once
+            _oracle_slice((n, k, t), orders.append)
+            total += weight * len(orders)
+            for key in orders:  # the map keys one order of each complement pair
                 k_least = least.get(key) or least.get(key[::-1])
                 if k_least:  # an order the oracle lacks is counted nowhere, and fails ok
                     j = N - k_least
                     buckets[j] += weight
-                    theta_buckets[j] += weight * (order[0] == n - 1)  # pi(n) = 1: suffix n is least
+                    theta_buckets[j] += weight * (key[0] == n - 1)  # pi(n) = 1: suffix n is least
+    total += undefined
     actual = CensusCounts(total, undefined, buckets, sum(theta_buckets.values()), theta_buckets)
     g_row, h_row = count_row(n, N, "g"), count_row(n, N, "h")
     predicted = CensusCounts(

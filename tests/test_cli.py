@@ -516,10 +516,21 @@ class TestParsing:
         assert "shiftpat" in out
 
     def test_negative_threads(self, capsys):
+        # parsed as any other integer, then refused by the size rule before the command runs
         code, out, err = run_cli(capsys, "table", "4", "--threads", "-3")
-        assert code == EXIT_USAGE
-        assert out == ""
+        assert (code, out, err) == (EXIT_USAGE, "", "error: need workers >= 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "\u0663"), ("table", "1_0"), ("table", "+5"), ("table", " 4"), ("table", "-"),
+        ("count", "+5", "\uff13"), ("count", "5", "3.0"), ("pat", "10(0)", "\uff12"),
+        ("witness", "436152", "--m", "\uff12"), ("conjecture1", "4", "--bound", "1_0"),
+    ])
+    def test_only_ascii_digits(self, capsys, argv):
+        # every integer argument is ASCII digits after at most one '-', which int() alone does not ask
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
         assert_one_usage_error(err)
+        assert ": not an integer: '" in err.splitlines()[-1]
 
     @pytest.mark.parametrize("digits", ["\u0663", "\uff12"])
     def test_non_ascii_threads(self, capsys, digits):

@@ -906,11 +906,11 @@ class TestOmegaCensus:
         assert census == want
         assert repr(census) == repr(want)  # the bucket dicts' key order too
 
-    def test_orders_at_most_twice_the_oracle_plan(self, monkeypatch):
-        # the census orders one word per relabeling class, on the oracle's
-        # bases from k = 1 (5,206 calls), and the oracle's own sweep sorts
-        # each Lyndon word's periodic starts (511); a sweep of all N^(n-1)
-        # bases makes 292,622 calls here
+    def test_sorts_no_word_itself(self, monkeypatch):
+        # the census reads the oracle's own jobs and sorts no word itself: its
+        # only sorts are the map's Lyndon-word sorts (511) and the same jobs
+        # run once more for its word lists, 1,022 in all, where ordering each
+        # word of the plan from k = 1 (5,410 words) made 5,717
         n, N = 6, 9
         calls = 0
         kernel = enumeration._order
@@ -921,11 +921,30 @@ class TestOmegaCensus:
             return kernel(*args)
 
         monkeypatch.setattr(enumeration, "_order", counted)
+        enumeration._least_alphabets(n, N, 1)
+        oracle, calls = calls, 0
         assert omega_census(n, N).ok
         plan = (n - 1) * sum((-1) ** j * math.comb(k - 1, j) * (k - j) ** (n - 1)
                              for k in range(1, min(N, n) + 1) for j in range(k))
         assert plan == 5410
-        assert calls <= 2 * plan
+        assert (calls, oracle) == (1022, 511)
+
+    def test_a_word_the_kernel_reports_twice_fails_ok(self, monkeypatch):
+        # the census counts the kernel's words, so its total sees a repeat:
+        # one order of job (5, 2, 2) reported twice adds one weight, C(2, 1)
+        kernel = enumeration._oracle_slice
+
+        def repeated(args, emit=None):
+            if emit is None:  # the oracle map's jobs
+                return kernel(args)
+            kernel(args, emit)
+            if args == (5, 2, 2):
+                emit(min(kernel(args)))
+
+        monkeypatch.setattr(enumeration, "_oracle_slice", repeated)
+        census = omega_census(5, 3)
+        assert not census.ok
+        assert census.actual.total == census.predicted.total + 2
 
     def test_an_order_the_oracle_lacks_fails_without_raising(self, monkeypatch):
         least = enumeration._least_alphabets
